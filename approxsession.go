@@ -19,8 +19,9 @@ import (
 // per-element Lehmer coordinate multisets (approx.LehmerState) and score
 // totals (approx.ScoreState), built lazily per algorithm family on the
 // first Run that needs them — plus a warm score per algorithm, so a re-run
-// after a small delta pays O(n log n) instead of a full O(m·n log n)
-// recompute.
+// after a small delta pays the O(n log n) consensus decode, plus one
+// kendall.Score (an O(n) positions pass and O(Σ L log L) over the
+// rankings) only when the consensus moved, instead of a full rebuild.
 //
 // Unlike Session, the dataset may be INCOMPLETE: top-k lists aggregate
 // as-is under the unified model (absent elements in the virtual last
@@ -356,7 +357,8 @@ func (s *ApproxSession) run(ctx context.Context, a core.Aggregator, cfg runConfi
 	var score int64
 	if w := s.warm[name]; w != nil && cons.Equal(w.consensus) {
 		// The delta-adjusted score of an unmoved consensus is already exact:
-		// skip the O(m·n log n) rescore entirely.
+		// skip the rescore (an O(n) positions pass plus O(Σ L log L) over
+		// the rankings) entirely.
 		score = w.score
 	} else {
 		score = kendall.Score(cons, s.d)

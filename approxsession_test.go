@@ -9,6 +9,7 @@ import (
 	"rankagg"
 	"rankagg/internal/approx"
 	"rankagg/internal/gen"
+	"rankagg/internal/kendall"
 )
 
 // topList cuts a permutation ranking down to its best keep elements — the
@@ -87,9 +88,10 @@ func TestApproxSessionToplists(t *testing.T) {
 }
 
 // TestApproxSessionDelta drives a random add/remove history through the
-// incremental state and pins every post-delta consensus and score against a
-// cold rebuild of the then-current dataset — the state must never drift,
-// and warm scores must stay exact whether or not the consensus moved.
+// incremental state and pins every post-delta consensus against a cold
+// rebuild of the then-current dataset, and every score against Σ
+// kendall.DistNaive over it — the state must never drift, and warm scores
+// must stay exact whether or not the consensus moved.
 func TestApproxSessionDelta(t *testing.T) {
 	rng := rand.New(rand.NewSource(302))
 	n := 24
@@ -138,8 +140,15 @@ func TestApproxSessionDelta(t *testing.T) {
 			if !res.Consensus.Equal(ref.Consensus) {
 				t.Fatalf("step %d %s: incremental consensus %v, cold %v", step, name, res.Consensus, ref.Consensus)
 			}
-			if want := rankagg.Score(res.Consensus, snap); res.Score != want {
-				t.Fatalf("step %d %s: score %d, recomputed %d", step, name, res.Score, want)
+			// The reference is the O(n²) pair walk, which shares no code
+			// with the merge-sort kernel behind both the warm-score shifts
+			// and rankagg.Score.
+			var want int64
+			for _, r := range snap.Rankings {
+				want += kendall.DistNaive(res.Consensus, r, snap.N)
+			}
+			if res.Score != want {
+				t.Fatalf("step %d %s: score %d, Σ DistNaive %d", step, name, res.Score, want)
 			}
 		}
 	}

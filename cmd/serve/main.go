@@ -61,7 +61,7 @@ func main() {
 	perRun := flag.Int("max-workers-per-run", 0, "cap one request's share of the worker budget (0 = may take all)")
 	maxTimeout := flag.Duration("max-timeout", 30*time.Second, "cap on any request's time budget (also the default budget)")
 	maxBody := flag.Int64("max-body", 32<<20, "max request body bytes")
-	maxElements := flag.Int("max-elements", 4096, "pair-matrix memory cap, expressed as a universe size: the budget is 12·n² bytes and each request is charged its real projected matrix bytes under -matrix-mode (0 = unlimited)")
+	maxElements := flag.Int("max-elements", 4096, "per-request memory cap, expressed as a universe size: the budget is 12·n² bytes; each request is charged its real projected matrix bytes under -matrix-mode, an approx-tier request or incomplete PUT its O(n) matrix-free state (0 = unlimited)")
 	matrixMode := flag.String("matrix-mode", "auto", "pair-matrix storage: auto (leanest backend the dataset admits: int8 counts when m <= 127, int16 when m <= 32767, derived tied plane on complete datasets), int32 (full 3-plane layout), int16 or int8 (pin a compact width)")
 	approxMode := flag.String("approx-mode", "auto", "matrix-free approximation tier admission: auto (serve over-budget and top-list datasets via lehmer/avgrank/scores instead of rejecting them), force (serve every aggregation matrix-free), off (over-budget datasets 413; explicitly requested approx algorithms still run)")
 	compactInterval := flag.Duration("compact-interval", time.Minute, "idle-sweep period for re-compacting cached matrices widened by PATCH deltas back to their natural storage width (0 = never)")

@@ -2,6 +2,7 @@ package approx
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -316,6 +317,20 @@ func TestLehmerBeatsWorstInput(t *testing.T) {
 		}
 		if score > worst {
 			t.Fatalf("trial %d (n=%d m=%d): lehmer score %d worse than worst input %d", trial, n, m, score, worst)
+		}
+	}
+}
+
+// TestPredictBytesSaturates: the per-element state prediction grows with
+// n and saturates instead of overflowing, so admission rejects any
+// universe a request can declare beyond what memory holds.
+func TestPredictBytesSaturates(t *testing.T) {
+	if got := PredictBytes(5000); got != 5000*bytesPerElement {
+		t.Errorf("PredictBytes(5000) = %d, want %d", got, 5000*bytesPerElement)
+	}
+	for _, n := range []int{math.MaxInt64/bytesPerElement + 1, math.MaxInt} {
+		if got := PredictBytes(n); got != math.MaxInt64 {
+			t.Errorf("PredictBytes(%d) = %d, want math.MaxInt64", n, got)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package approx
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -185,6 +186,25 @@ func (st *LehmerState) Remove(r *rankings.Ranking) error {
 	}
 	st.m--
 	return nil
+}
+
+// bytesPerElement is what one element of the universe costs a run of this
+// tier, whatever the rankings hold: the Lehmer build's list header, slot
+// count, offset and encoder entries (48 bytes), the consensus decode with
+// its singleton-bucket ranking (44), and the Kemeny scoring pass's
+// positions (8). The score-based family needs less.
+const bytesPerElement = 100
+
+// PredictBytes returns the bytes a run of this tier needs for a universe
+// of n elements, apart from what grows with the rankings themselves (those
+// arrived in the request, so the request size bounds them). A tiny request
+// can declare an arbitrarily large n; admission control checks this figure
+// before anything of size n is allocated. It saturates at math.MaxInt64.
+func PredictBytes(n int) int64 {
+	if n > math.MaxInt64/bytesPerElement {
+		return math.MaxInt64
+	}
+	return bytesPerElement * int64(max(n, 0))
 }
 
 // Bytes approximates the state's resident size: the per-element slice

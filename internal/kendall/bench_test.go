@@ -40,6 +40,25 @@ func BenchmarkDistNaive(b *testing.B) {
 	}
 }
 
+// BenchmarkScore measures the Kemeny score of a full consensus over top-k
+// lists, the approximation tier's scoring shape (n=5000, m=100, L=100):
+// one O(n) positions pass per call, then O(L log L) per list. Its
+// allocations per call do not grow with m.
+func BenchmarkScore(b *testing.B) {
+	rng := rand.New(rand.NewSource(8))
+	const n, m, l = 5000, 100, 100
+	rks := make([]*rankings.Ranking, m)
+	for i := range rks {
+		rks[i] = rankings.FromPermutation(rng.Perm(n)[:l])
+	}
+	d := rankings.NewDataset(n, rks...)
+	cons := rankings.FromPermutation(rng.Perm(n))
+	b.ReportAllocs()
+	for b.Loop() {
+		Score(cons, d)
+	}
+}
+
 // BenchmarkNewPairs measures the O(m·n²) pair-matrix construction every
 // pair-based algorithm amortizes.
 func BenchmarkNewPairs(b *testing.B) {

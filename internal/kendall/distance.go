@@ -8,11 +8,19 @@
 // Two implementations of G are provided: a naive O(n²) reference and a
 // log-linear merge-sort based one ("Computing the distance is equivalent to
 // sorting the elements and can be done, with adaptations, in log-linear
-// time"). Property tests check that they agree.
+// time"). Property tests and a fuzz target check that they agree.
+//
+// The log-linear kernel only looks at the elements the two rankings share,
+// so it is sparse: Score builds the consensus positions once — one O(n)
+// pass per call — and then pays O(L log L) per input ranking of L
+// elements, reusing one scratch so that a ranking allocates nothing once
+// the scratch has grown. A Kemeny score over top-k lists therefore costs
+// O(n + Σ L log L), not O(m·n log n).
 package kendall
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"rankagg/internal/rankings"
 )
@@ -22,8 +30,16 @@ import (
 // A pair of elements costs one when it is inverted between the rankings or
 // tied in exactly one of them (unit untying cost, as in the paper). Pairs
 // where either element is absent from either ranking contribute nothing.
+//
+// Dist indexes the longer ranking by position and walks the shorter one,
+// so a top-k list against a full consensus costs O(n) for the index plus
+// O(L log L) for the distance.
 func Dist(r, s *rankings.Ranking, n int) int64 {
-	return DistPositions(r.Positions(n), s.Positions(n))
+	if r.Len() < s.Len() {
+		r, s = s, r
+	}
+	var sc scratch
+	return sc.score(r.Positions(n), s)
 }
 
 // DistNaive is the O(n²) reference implementation of G.
@@ -33,60 +49,102 @@ func DistNaive(r, s *rankings.Ranking, n int) int64 {
 
 // DistPositions computes G from position slices (1-based bucket index per
 // element, 0 = absent) in O(c log c) time where c is the number of elements
-// common to both rankings.
+// common to both rankings. Index i of both slices describes the same
+// element, so callers may pass every element of the universe or only the
+// elements one ranking holds: elements absent from either ranking do not
+// count.
 func DistPositions(pr, ps []int) int64 {
-	type elem struct{ r, s int }
-	common := make([]elem, 0, len(pr))
-	for e := range pr {
-		if pr[e] != 0 && ps[e] != 0 {
-			common = append(common, elem{pr[e], ps[e]})
+	var sc scratch
+	sc.pairs = make([]pair, 0, len(pr))
+	for e, p := range pr {
+		if p != 0 && ps[e] != 0 {
+			sc.pairs = append(sc.pairs, pair{p, ps[e]})
 		}
 	}
-	sort.Slice(common, func(i, j int) bool {
-		if common[i].r != common[j].r {
-			return common[i].r < common[j].r
+	return sc.dist()
+}
+
+// pair holds one element's 1-based bucket indices in the two rankings a
+// distance compares.
+type pair struct{ a, b int }
+
+// scratch is the distance kernel's working memory. Score keeps one across
+// all the rankings of a dataset, so only the first few rankings grow it.
+type scratch struct {
+	pairs []pair
+	bs    []int // the b values in (a, b) order; the inversion count sorts them
+	buf   []int // merge buffer
+}
+
+// score returns G between the ranking whose positions are pc and s, in
+// O(L log L) for the L elements of s: only the elements s holds can form a
+// pair that counts.
+func (sc *scratch) score(pc []int, s *rankings.Ranking) int64 {
+	sc.pairs = slices.Grow(sc.pairs[:0], s.Len())
+	for i, b := range s.Buckets {
+		for _, e := range b {
+			if p := pc[e]; p != 0 {
+				sc.pairs = append(sc.pairs, pair{i + 1, p})
+			}
 		}
-		return common[i].s < common[j].s
+	}
+	return sc.dist()
+}
+
+// dist returns G over sc.pairs, one entry per element present in both
+// rankings. Sorted by (a, b), the strictly discordant pairs are exactly
+// the strict inversions of the b sequence; the untying costs come from the
+// runs of equal a, of equal b, and of equal (a, b). score emits pairs in
+// a order, and the pattern-defeating sort finishes already-sorted input —
+// every top-k list — in one linear pass.
+func (sc *scratch) dist() int64 {
+	ps := sc.pairs
+	slices.SortFunc(ps, func(x, y pair) int {
+		if x.a != y.a {
+			return cmp.Compare(x.a, y.a)
+		}
+		return cmp.Compare(x.b, y.b)
 	})
-	// tiesR: pairs tied in r; tiesS: pairs tied in s; tiesBoth: tied in both.
-	var tiesR, tiesS, tiesBoth int64
-	sVals := make([]int, len(common))
-	for i, e := range common {
-		sVals[i] = e.s
-	}
-	// Runs of equal r, and joint runs of equal (r, s), are contiguous after
-	// the sort above.
-	for i := 0; i < len(common); {
+	var tiesA, tiesB, tiesBoth int64
+	bs := slices.Grow(sc.bs[:0], len(ps))
+	for i := 0; i < len(ps); {
 		j := i
-		for j < len(common) && common[j].r == common[i].r {
+		for j < len(ps) && ps[j].a == ps[i].a {
 			j++
 		}
-		k := int64(j - i)
-		tiesR += k * (k - 1) / 2
-		for a := i; a < j; {
-			b := a
-			for b < j && common[b].s == common[a].s {
-				b++
+		tiesA += choose2(j - i)
+		for x := i; x < j; {
+			y := x
+			for y < j && ps[y].b == ps[x].b {
+				y++
 			}
-			kb := int64(b - a)
-			tiesBoth += kb * (kb - 1) / 2
-			a = b
+			tiesBoth += choose2(y - x)
+			x = y
 		}
 		i = j
 	}
-	// Pairs tied in s: count per s-value globally.
-	counts := make(map[int]int64, len(common))
-	for _, e := range common {
-		counts[e.s]++
+	for _, p := range ps {
+		bs = append(bs, p.b)
 	}
-	for _, c := range counts {
-		tiesS += c * (c - 1) / 2
+	if cap(sc.buf) < len(bs) {
+		sc.buf = make([]int, cap(bs))
 	}
-	// Strictly discordant pairs: after sorting by (r asc, s asc), these are
-	// exactly the strict inversions of the s sequence.
-	inv := countInversions(sVals)
-	return inv + (tiesR - tiesBoth) + (tiesS - tiesBoth)
+	inv := mergeCount(bs, sc.buf[:len(bs)])
+	// bs is sorted now: the pairs tied in b are its runs of equal values.
+	for i := 0; i < len(bs); {
+		j := i + 1
+		for j < len(bs) && bs[j] == bs[i] {
+			j++
+		}
+		tiesB += choose2(j - i)
+		i = j
+	}
+	sc.bs = bs
+	return inv + (tiesA - tiesBoth) + (tiesB - tiesBoth)
 }
+
+// choose2 is the number of pairs among k elements.
+func choose2(k int) int64 { return int64(k) * int64(k-1) / 2 }
 
 func distPositionsNaive(pr, ps []int) int64 {
 	var g int64
@@ -111,17 +169,23 @@ func distPositionsNaive(pr, ps []int) int64 {
 	return g
 }
 
-// countInversions counts pairs i < j with v[i] > v[j] (strict) via merge
-// sort, in O(len log len). v is clobbered.
-func countInversions(v []int) int64 {
-	buf := make([]int, len(v))
-	return mergeCount(v, buf)
-}
-
+// mergeCount counts pairs i < j with v[i] > v[j] (strict) by merge sort,
+// in O(len log len), leaving v sorted. buf is scratch of v's length. Short
+// runs are insertion-sorted: each step past a strictly larger value is one
+// inversion.
 func mergeCount(v, buf []int) int64 {
 	n := len(v)
-	if n < 2 {
-		return 0
+	if n <= 16 {
+		var inv int64
+		for i := 1; i < n; i++ {
+			x, j := v[i], i
+			for ; j > 0 && v[j-1] > x; j-- {
+				v[j] = v[j-1]
+			}
+			v[j] = x
+			inv += int64(i - j)
+		}
+		return inv
 	}
 	mid := n / 2
 	inv := mergeCount(v[:mid], buf[:mid]) + mergeCount(v[mid:], buf[mid:])
@@ -168,11 +232,14 @@ func PermutationDist(r, s *rankings.Ranking, n int) int64 {
 }
 
 // Score returns the generalized Kemeny score K(r, R) = Σ_{s∈R} G(r, s).
+// It builds r's positions once and then costs O(L log L) per ranking of
+// L elements, with no allocation per ranking once its scratch has grown.
 func Score(r *rankings.Ranking, d *rankings.Dataset) int64 {
 	pr := r.Positions(d.N)
+	var sc scratch
 	var k int64
 	for _, s := range d.Rankings {
-		k += DistPositions(pr, s.Positions(d.N))
+		k += sc.score(pr, s)
 	}
 	return k
 }

@@ -3,6 +3,7 @@ package kendall
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -136,18 +137,90 @@ func randomPartialRanking(rng *rand.Rand, n int) *rankings.Ranking {
 }
 
 // TestQuickFastMatchesNaive is the key property test: the log-linear G must
-// agree with the O(n²) reference on random (possibly partial) rankings.
+// agree with the O(n²) reference on random (possibly partial) rankings, and
+// DistPositions must give the same G on compact lists — the positions of
+// one ranking's own elements only — as on universe-sized ones. Score, which
+// walks each ranking's own elements against the consensus positions, must
+// equal Σ DistNaive on every dataset shape the tiers serve: the reference
+// shares no code with the kernel, so a kernel bug cannot hide behind it.
 func TestQuickFastMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	f := func(uint8) bool {
 		n := 2 + rng.Intn(40)
 		r := randomPartialRanking(rng, n)
 		s := randomPartialRanking(rng, n)
-		return Dist(r, s, n) == DistNaive(r, s, n)
+		g := DistNaive(r, s, n)
+		if Dist(r, s, n) != g {
+			return false
+		}
+		pr, ps := r.Positions(n), s.Positions(n)
+		return DistPositions(pr, ps) == g &&
+			DistPositions(compactPositions(pr, s)) == g &&
+			DistPositions(compactPositions(ps, r)) == g
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+
+	topK := func(rng *rand.Rand, n int) *rankings.Ranking {
+		return rankings.FromPermutation(rng.Perm(n)[:1+rng.Intn(8)])
+	}
+	shapes := []struct {
+		name      string
+		consensus func(rng *rand.Rand, n int) *rankings.Ranking
+		ranking   func(rng *rand.Rand, n int) *rankings.Ranking
+	}{
+		{"top-k lists, L ≪ n", randomRanking, topK},
+		{"complete rankings with ties", randomRanking, randomRanking},
+		{"partial consensus", randomPartialRanking, func(rng *rand.Rand, n int) *rankings.Ranking {
+			if rng.Intn(2) == 0 {
+				return topK(rng, n)
+			}
+			return randomRanking(rng, n)
+		}},
+		// The consensus ranks the lower half of the universe, every list
+		// the upper half plus at most one shared element: no pair counts.
+		{"lists disjoint from the consensus", func(rng *rand.Rand, n int) *rankings.Ranking {
+			return randomRanking(rng, n/2)
+		}, func(rng *rand.Rand, n int) *rankings.Ranking {
+			l := rng.Perm(n - n/2)[:1+rng.Intn(8)]
+			for i := range l {
+				l[i] += n / 2
+			}
+			if rng.Intn(2) == 0 {
+				l[0] = rng.Intn(n / 2)
+			}
+			return rankings.FromPermutation(l)
+		}},
+	}
+	for _, sh := range shapes {
+		for trial := 0; trial < 40; trial++ {
+			n := 20 + rng.Intn(120)
+			c := sh.consensus(rng, n)
+			rks := make([]*rankings.Ranking, 1+rng.Intn(10))
+			var want int64
+			for i := range rks {
+				rks[i] = sh.ranking(rng, n)
+				want += DistNaive(c, rks[i], n)
+			}
+			if got := Score(c, rankings.NewDataset(n, rks...)); got != want {
+				t.Fatalf("%s, trial %d: Score = %d, Σ DistNaive = %d", sh.name, trial, got, want)
+			}
+		}
+	}
+}
+
+// compactPositions is DistPositions' compact calling convention: for each
+// element of r, in r's bucket order, its position in pc and its own 1-based
+// bucket index.
+func compactPositions(pc []int, r *rankings.Ranking) (pr, ps []int) {
+	for i, b := range r.Buckets {
+		for _, e := range b {
+			pr = append(pr, pc[e])
+			ps = append(ps, i+1)
+		}
+	}
+	return pr, ps
 }
 
 // TestQuickTriangleInequality: G is a true distance on bucket orders over
@@ -206,8 +279,11 @@ func TestCountInversions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		v := append([]int(nil), tc.v...)
-		if got := countInversions(v); got != tc.want {
-			t.Errorf("countInversions(%v) = %d, want %d", tc.v, got, tc.want)
+		if got := mergeCount(v, make([]int, len(v))); got != tc.want {
+			t.Errorf("mergeCount(%v) = %d, want %d", tc.v, got, tc.want)
+		}
+		if !slices.IsSorted(v) {
+			t.Errorf("mergeCount(%v) left %v unsorted", tc.v, v)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package kendall
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Count constrains the storage widths a pair matrix can hold its counts
 // in. Every count is a number of rankings, so int8 suffices whenever
@@ -116,21 +119,26 @@ func (m MatrixMode) resolve(rankingCount int, complete bool) repr {
 // PredictBytes returns the backing bytes NewPairsMode would allocate for
 // a dataset of n elements and m rankings with the given completeness —
 // the number an admission control can check BEFORE any allocation
-// happens (the serving layer's -max-elements guard).
+// happens (the serving layer's -max-elements guard). A universe whose
+// matrix would not fit in an int64 byte count predicts math.MaxInt64.
 func PredictBytes(mode MatrixMode, n, m int, complete bool) int64 {
 	return mode.resolve(m, complete).bytes(n)
 }
 
 // bytes is the footprint of a concrete layout: 2 or 3 planes of n²
-// counts at 1, 2 or 4 bytes each. The tiled layout stores exactly the
-// same counts as two planar planes (the tiles are a permutation), so it
-// never pads and costs the same bytes.
+// counts at 1, 2 or 4 bytes each, saturating at math.MaxInt64. The tiled
+// layout stores exactly the same counts as two planar planes (the tiles
+// are a permutation), so it never pads and costs the same bytes.
 func (r repr) bytes(n int) int64 {
 	planes := int64(3)
 	if r.derived {
 		planes = 2
 	}
-	return planes * int64(r.width) * int64(n) * int64(n)
+	perPair := planes * int64(r.width)
+	if n > 0 && int64(n) > math.MaxInt64/perPair/int64(n) {
+		return math.MaxInt64
+	}
+	return perPair * int64(n) * int64(n)
 }
 
 // maxRankings returns the largest m the layout's width can count.

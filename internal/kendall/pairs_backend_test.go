@@ -1,6 +1,7 @@
 package kendall
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -217,5 +218,26 @@ func TestParseMatrixMode(t *testing.T) {
 		if !tc.err && got.String() != tc.in && tc.in != "" {
 			t.Errorf("String() roundtrip of %q = %q", tc.in, got.String())
 		}
+	}
+}
+
+// TestPredictBytesSaturates: a universe whose matrix byte count overflows
+// int64 predicts math.MaxInt64, so an admission check against any budget
+// rejects it (n = 2³² once wrapped to 0 bytes).
+func TestPredictBytesSaturates(t *testing.T) {
+	for _, n := range []int{1 << 32, 3_000_000_000, 100_000_000_000, math.MaxInt} {
+		for _, mode := range []MatrixMode{ModeAuto, ModeInt32} {
+			if got := PredictBytes(mode, n, 3, false); got != math.MaxInt64 {
+				t.Errorf("PredictBytes(%s, %d) = %d, want math.MaxInt64", mode, n, got)
+			}
+		}
+	}
+	// The largest int32 universe that still fits is exact.
+	n := 876_706_528 // ⌊√(MaxInt64/12)⌋
+	if got, want := PredictBytes(ModeInt32, n, 3, false), 12*int64(n)*int64(n); got != want {
+		t.Errorf("PredictBytes(int32, %d) = %d, want %d", n, got, want)
+	}
+	if got := PredictBytes(ModeInt32, n+1, 3, false); got != math.MaxInt64 {
+		t.Errorf("PredictBytes(int32, %d) = %d, want math.MaxInt64", n+1, got)
 	}
 }

@@ -32,9 +32,14 @@ func scrape(t *testing.T, url string) string {
 	return string(data)
 }
 
+// routeMaxElements is a budget overBudgetRequest's matrix exceeds in
+// every storage mode (n = 64 → 8192 bytes even at auto's 2 bytes/pair, vs
+// 12·24² = 6912) while its matrix-free state (64 elements at 100 bytes)
+// fits, so auto mode routes it to the approximation tier.
+const routeMaxElements = 24
+
 // overBudgetRequest is a complete permutation dataset whose projected
-// matrix exceeds a MaxElements=8 byte budget in every storage mode
-// (n = 64 → 8192 bytes even at auto's 2 bytes/pair, vs the 768 budget).
+// matrix exceeds the routeMaxElements byte budget in every storage mode.
 func overBudgetRequest(algorithm string) server.AggregateRequest {
 	perm := identityPerm(64)
 	rev := make([]int, 64)
@@ -55,7 +60,7 @@ func overBudgetRequest(algorithm string) server.AggregateRequest {
 // algorithm, the tier header, the routed counter — and never touches the
 // session cache.
 func TestApproxRouting(t *testing.T) {
-	s, ts := newTestServer(t, server.Config{MaxElements: 8})
+	s, ts := newTestServer(t, server.Config{MaxElements: routeMaxElements})
 	resp, data := postAggregate(t, ts.URL, overBudgetRequest("BioConsert"))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("over-budget POST under auto: %d %s, want 200", resp.StatusCode, data)
@@ -227,7 +232,7 @@ func TestTopListsOffMode(t *testing.T) {
 // dataset — computed matrix-free, verified here against the public
 // recompute.
 func TestApproxScoreMatchesRecompute(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{MaxElements: 8})
+	_, ts := newTestServer(t, server.Config{MaxElements: routeMaxElements})
 	req := overBudgetRequest("lehmer")
 	resp, data := postAggregate(t, ts.URL, req)
 	if resp.StatusCode != http.StatusOK {
@@ -238,5 +243,67 @@ func TestApproxScoreMatchesRecompute(t *testing.T) {
 	d := rankings.NewDataset(64, req.Rankings...)
 	if want := rankagg.Score(out.Consensus, d); out.Score != want {
 		t.Errorf("score %d, recomputed %d", out.Score, want)
+	}
+}
+
+// TestHugeUniverseRejected: a tiny body declaring a universe of 10¹¹
+// elements must reach neither the content hash nor the approximation
+// tier's O(n) state. Inline POST (rankings and toplists forms) and PUT,
+// with a store and without, each answer 413 under the default budget,
+// counted under their own admission reason; nothing is persisted and the
+// server stays up.
+func TestHugeUniverseRejected(t *testing.T) {
+	requests := []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/aggregate", `{"spec":{"algorithm":"BordaCount"},"n":100000000000,"rankings":[[[0]]]}`},
+		{http.MethodPost, "/v1/aggregate", `{"spec":{"algorithm":"BordaCount"},"n":100000000000,"toplists":[[0]]}`},
+		{http.MethodPut, "/v1/datasets", `{"n":100000000000,"rankings":[[[0]]]}`},
+		{http.MethodPut, "/v1/datasets", `{"n":100000000000,"toplists":[[0]]}`},
+	}
+	for _, persisted := range []bool{false, true} {
+		cfg := server.Config{}
+		if persisted {
+			cfg.Store = openStore(t, t.TempDir())
+		}
+		_, ts := newTestServer(t, cfg)
+		for _, rq := range requests {
+			req, err := http.NewRequest(rq.method, ts.URL+rq.path, strings.NewReader(rq.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatalf("persisted=%v %s %s: %v", persisted, rq.method, rq.body, err)
+			}
+			data, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Errorf("persisted=%v %s %s: %d %s, want 413", persisted, rq.method, rq.body, resp.StatusCode, data)
+			}
+		}
+		text := scrape(t, ts.URL)
+		if want := `rankagg_admission_rejected_total{reason="approx-budget"} 4`; !strings.Contains(text, want) {
+			t.Errorf("persisted=%v: metrics missing %q:\n%s", persisted, want, text)
+		}
+		resp, data := doJSON(t, http.MethodGet, ts.URL+"/v1/datasets", nil)
+		if !strings.Contains(string(data), `"total":0`) {
+			t.Errorf("persisted=%v: rejected datasets were kept: %d %s", persisted, resp.StatusCode, data)
+		}
+		if resp, _ := doJSON(t, http.MethodGet, ts.URL+"/healthz", nil); resp.StatusCode != http.StatusOK {
+			t.Errorf("persisted=%v: healthz %d after the rejections, want 200", persisted, resp.StatusCode)
+		}
+	}
+}
+
+// TestHugeMaxElementsIsNoCap: a -max-elements whose byte budget does not
+// fit in an int64 saturates into no practical cap; it must not wrap into a
+// tiny budget that routes or rejects everything.
+func TestHugeMaxElementsIsNoCap(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{MaxElements: 1 << 40})
+	resp, data := postAggregate(t, ts.URL, smallRequest("BioConsert"))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST under a huge cap: %d %s, want 200", resp.StatusCode, data)
+	}
+	if got := resp.Header.Get("X-Rankagg-Tier"); got != "exact" {
+		t.Errorf("X-Rankagg-Tier = %q, want exact", got)
 	}
 }

@@ -75,6 +75,11 @@ func (s *Server) handlePutDatasets(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	// An incomplete dataset is the approximation tier's alone; its O(n)
+	// state must fit the budget before the store or the cache hashes it.
+	if !d.Complete() && !s.admitApprox(w, d) {
+		return
+	}
 	if s.store != nil {
 		hash, created, err := s.store.Create(d, wire.Names)
 		if err != nil {
@@ -93,7 +98,8 @@ func (s *Server) handlePutDatasets(w http.ResponseWriter, r *http.Request) {
 	}
 	// Ephemeral create of an incomplete dataset: only the approx tier can
 	// hold it — its delta-maintainable session is the cache entry, weighed
-	// by its O(n + Σ L_i) state, no matrix admission to pass.
+	// by its O(n + Σ L_i) state, admitted above instead of by the matrix
+	// check.
 	if !d.Complete() {
 		hash := d.Hash()
 		_, hit, err := s.approx.GetOrBuild(hash, func() (*rankagg.ApproxSession, error) {
@@ -114,13 +120,12 @@ func (s *Server) handlePutDatasets(w http.ResponseWriter, r *http.Request) {
 	}
 	// Ephemeral create: the matrix is built now, so it must pass the same
 	// admission the equivalent POST would.
-	if s.maxElements > 0 {
-		budget := 3 * 4 * int64(s.maxElements) * int64(s.maxElements)
-		if need := rankagg.PredictMatrixBytes(s.matrixMode, d.N, d.M(), d.Complete()); need > budget {
+	if s.budget > 0 {
+		if need := rankagg.PredictMatrixBytes(s.matrixMode, d.N, d.M(), d.Complete()); need > s.budget {
 			s.metrics.rejectedMatrix.Add(1)
 			s.writeError(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("dataset has %d elements and its %s pair matrix would need %d bytes; the server cap is %d bytes (-max-elements %d)",
-					d.N, s.matrixMode, need, budget, s.maxElements))
+					d.N, s.matrixMode, need, s.budget, s.maxElements))
 			return
 		}
 	}

@@ -32,6 +32,7 @@ type metrics struct {
 	encodeWorkers  atomic.Int64 // worker tokens granted to the most recent approx-tier run (encode sharding width)
 	rejectedMatrix atomic.Int64 // POSTs 413ed because the projected pair matrix exceeds the byte budget
 	rejectedDelta  atomic.Int64 // PATCHes 413ed because the delta would promote the matrix past the byte budget
+	rejectedApprox atomic.Int64 // requests 413ed because an approx-tier dataset's O(n) state exceeds the byte budget
 	warmStarts     atomic.Int64 // solver runs seeded from a pre-PATCH consensus (stats.warm_start)
 
 	mu       sync.Mutex
@@ -133,10 +134,11 @@ func (m *metrics) write(w io.Writer, extra func(io.Writer)) {
 	fmt.Fprintf(w, "# TYPE rankagg_warm_starts_total counter\n")
 	fmt.Fprintf(w, "rankagg_warm_starts_total %d\n", m.warmStarts.Load())
 
-	fmt.Fprintf(w, "# HELP rankagg_admission_rejected_total Requests rejected with 413 by the matrix byte-budget admission check, by reason.\n")
+	fmt.Fprintf(w, "# HELP rankagg_admission_rejected_total Requests rejected with 413 by the byte-budget admission checks, by reason.\n")
 	fmt.Fprintf(w, "# TYPE rankagg_admission_rejected_total counter\n")
 	fmt.Fprintf(w, "rankagg_admission_rejected_total{reason=\"matrix-budget\"} %d\n", m.rejectedMatrix.Load())
 	fmt.Fprintf(w, "rankagg_admission_rejected_total{reason=\"delta-budget\"} %d\n", m.rejectedDelta.Load())
+	fmt.Fprintf(w, "rankagg_admission_rejected_total{reason=\"approx-budget\"} %d\n", m.rejectedApprox.Load())
 
 	m.mu.Lock()
 	reqKeys := make([]reqKey, 0, len(m.requests))

@@ -75,7 +75,10 @@
 // "rankings") — and any dataset that resolves to an incomplete one —
 // always run on that tier. -approx-mode force serves every aggregation
 // matrix-free; off restores the 413, counted in
-// rankagg_admission_rejected_total{reason="matrix-budget"}.
+// rankagg_admission_rejected_total{reason="matrix-budget"}. The tier's own
+// O(n) state is charged against the same byte budget: a dataset whose
+// declared universe it cannot hold 413s, counted under
+// reason="approx-budget", before it is hashed.
 //
 // Approx-tier sessions: the tier keeps its own hash-keyed LRU of
 // rankagg.ApproxSession values — the delta-maintainable aggregation state
@@ -114,6 +117,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"runtime"
 	"sync"
@@ -157,7 +161,9 @@ type Config struct {
 	// while int32 mode keeps the historical exact-n cap. The matrix
 	// build is not cancellable, so the check runs before any allocation;
 	// oversized datasets are rejected up front with 413 (0: 4096,
-	// ≈ 200 MB of budget; negative: no cap).
+	// ≈ 200 MB of budget; negative: no cap). Approx-tier requests and PUTs
+	// of incomplete datasets are charged their O(n) matrix-free state
+	// (rankagg.PredictApproxBytes) against the same budget.
 	MaxElements int
 	// MatrixMode selects the pair-matrix storage representation for the
 	// sessions this server builds (the -matrix-mode flag). The zero
@@ -198,6 +204,7 @@ type Server struct {
 	maxTimeout  time.Duration
 	maxBody     int64
 	maxElements int
+	budget      int64 // per-request bytes -max-elements allows; 0: no cap
 	matrixMode  rankagg.MatrixMode
 	approxMode  ApproxMode
 	log         *log.Logger
@@ -270,6 +277,7 @@ func New(cfg Config) *Server {
 		maxTimeout:  maxTimeout,
 		maxBody:     maxBody,
 		maxElements: maxElements,
+		budget:      byteBudget(maxElements),
 		matrixMode:  cfg.MatrixMode,
 		approxMode:  cfg.ApproxMode,
 		log:         logger,
@@ -461,6 +469,42 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	}
 }
 
+// byteBudget is the per-request byte budget -max-elements sets: what an
+// int32 pair matrix of that many elements costs, 12 bytes per pair. It
+// saturates at math.MaxInt64 instead of overflowing, as the predicted
+// sizes it is compared with do; 0 means no cap.
+func byteBudget(maxElements int) int64 {
+	if maxElements <= 0 {
+		return 0
+	}
+	m := int64(maxElements)
+	if m > math.MaxInt64/12/m {
+		return math.MaxInt64
+	}
+	return 12 * m * m
+}
+
+// admitApprox charges an approximation-tier dataset's O(n) state — Lehmer
+// lists, score totals, the scoring pass's positions — against the byte
+// budget, and rejects it with 413 when it does not fit. A tiny body can
+// declare a huge universe, so the check runs before the dataset is hashed
+// or any state of size n exists. It reports whether the request may
+// proceed.
+func (s *Server) admitApprox(w http.ResponseWriter, d *rankings.Dataset) bool {
+	if s.budget == 0 {
+		return true
+	}
+	need := rankagg.PredictApproxBytes(d.N)
+	if need <= s.budget {
+		return true
+	}
+	s.metrics.rejectedApprox.Add(1)
+	s.writeError(w, http.StatusRequestEntityTooLarge,
+		fmt.Sprintf("dataset has %d elements and the matrix-free tier's per-element state would need %d bytes; the server cap is %d bytes (-max-elements %d) — shrink the universe or raise -max-elements",
+			d.N, need, s.budget, s.maxElements))
+	return false
+}
+
 // errMatrixBudget marks a PATCH delta that would grow the cached pair
 // matrix past the -max-elements byte budget (backend promotion); the
 // handler maps it to 413.
@@ -560,11 +604,10 @@ func (s *Server) serveAggregateOn(w http.ResponseWriter, r *http.Request, spec r
 	}
 	if !approxTier {
 		overBudget := false
-		var need, budget int64
-		if s.maxElements > 0 {
-			budget = 3 * 4 * int64(s.maxElements) * int64(s.maxElements)
+		var need int64
+		if s.budget > 0 {
 			need = rankagg.PredictMatrixBytes(s.matrixMode, d.N, d.M(), d.Complete())
-			overBudget = need > budget
+			overBudget = need > s.budget
 		}
 		switch {
 		case s.approxMode == ApproxForce:
@@ -579,9 +622,12 @@ func (s *Server) serveAggregateOn(w http.ResponseWriter, r *http.Request, spec r
 			s.metrics.rejectedMatrix.Add(1)
 			s.writeError(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("dataset has %d elements and its %s pair matrix would need %d bytes; the server cap is %d elements at int32's 12 bytes/pair (%d bytes) — shrink the dataset, raise -max-elements, or serve it matrix-free (-approx-mode auto)",
-					d.N, s.matrixMode, need, s.maxElements, budget))
+					d.N, s.matrixMode, need, s.maxElements, s.budget))
 			return
 		}
+	}
+	if approxTier && !s.admitApprox(w, d) {
+		return
 	}
 
 	// The request's whole budget — queueing for a worker token, a possible
@@ -1235,7 +1281,7 @@ func (s *Server) patchPersisted(w http.ResponseWriter, hash string, add, remove 
 // past (backend promotion is one-way, so the post-delta size is at least
 // curBytes). d0 is the pre-delta dataset; nAdd/nRemove size the delta.
 func (s *Server) checkDeltaBudget(d0 *rankings.Dataset, curBytes int64, nAdd, nRemove int) error {
-	if s.maxElements <= 0 {
+	if s.budget == 0 {
 		return nil
 	}
 	m2 := d0.M() + nAdd - nRemove
@@ -1243,9 +1289,9 @@ func (s *Server) checkDeltaBudget(d0 *rankings.Dataset, curBytes int64, nAdd, nR
 	if curBytes > need {
 		need = curBytes
 	}
-	if budget := 3 * 4 * int64(s.maxElements) * int64(s.maxElements); need > budget {
+	if need > s.budget {
 		return fmt.Errorf("%w: the delta would grow the pair matrix to %d bytes, over the server budget of %d (-max-elements %d)",
-			errMatrixBudget, need, budget, s.maxElements)
+			errMatrixBudget, need, s.budget, s.maxElements)
 	}
 	return nil
 }

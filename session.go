@@ -201,7 +201,7 @@ type Result struct {
 	// Approx reports that the consensus came from the matrix-free
 	// approximation tier (lehmer, avgrank, scores): no pair matrix was
 	// built or consulted — Score was computed ranking-by-ranking in
-	// O(m·n log n) instead of from matrix counts — and the consensus
+	// O(n + Σ L log L) instead of from matrix counts — and the consensus
 	// minimizes a surrogate objective (inversion-vector median, summed
 	// rank), not the generalized Kemeny score itself.
 	Approx bool
@@ -579,7 +579,8 @@ func (s *Session) run(ctx context.Context, a core.Aggregator, cfg runConfig) (*R
 
 // runMatrixFree is the approximation-tier Run path: the dataset snapshot is
 // taken without touching (or building) the pair matrix, and the score comes
-// from kendall.Score — one O(n log n) distance per ranking — so a session
+// from kendall.Score — one O(n) positions pass, then O(L log L) per ranking
+// of L elements — so a session
 // serving only approx runs never pays the O(m·n²) build or the O(n²)
 // memory.
 func (s *Session) runMatrixFree(ctx context.Context, a core.Aggregator, cfg runConfig) (*Result, error) {
