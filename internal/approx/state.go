@@ -188,18 +188,24 @@ func (st *LehmerState) Remove(r *rankings.Ranking) error {
 	return nil
 }
 
-// bytesPerElement is what one element of the universe costs a run of this
-// tier, whatever the rankings hold: the Lehmer build's list header, slot
-// count, offset and encoder entries (48 bytes), the consensus decode with
-// its singleton-bucket ranking (44), and the Kemeny scoring pass's
-// positions (8). The score-based family needs less.
-const bytesPerElement = 100
+// bytesPerElement is what one element of the universe costs a served
+// request of this tier at most, whatever the rankings hold. It is
+// measured, not summed: a Lehmer request over a one-list dataset
+// allocates about 120 bytes per element at n = 10⁵ — the build's lists,
+// offsets and encoders, the consensus decode and its singleton-bucket
+// ranking, the scoring pass's positions, and the consensus JSON of the
+// response — and a request that also stores its result about 136 (140 at
+// n = 10⁶, longer numbers making longer JSON). The score-based family
+// needs under half of that. TestApproxBudgetCoversAllocation in
+// internal/server keeps every family under this figure.
+const bytesPerElement = 160
 
-// PredictBytes returns the bytes a run of this tier needs for a universe
-// of n elements, apart from what grows with the rankings themselves (those
-// arrived in the request, so the request size bounds them). A tiny request
-// can declare an arbitrarily large n; admission control checks this figure
-// before anything of size n is allocated. It saturates at math.MaxInt64.
+// PredictBytes returns the bytes a served request of this tier allocates
+// for a universe of n elements, apart from what grows with the rankings
+// themselves (those arrived in the request, so the request size bounds
+// them). A tiny request can declare an arbitrarily large n; admission
+// control checks this figure before anything of size n is allocated. It
+// saturates at math.MaxInt64.
 func PredictBytes(n int) int64 {
 	if n > math.MaxInt64/bytesPerElement {
 		return math.MaxInt64

@@ -170,22 +170,11 @@ func distPositionsNaive(pr, ps []int) int64 {
 }
 
 // mergeCount counts pairs i < j with v[i] > v[j] (strict) by merge sort,
-// in O(len log len), leaving v sorted. buf is scratch of v's length. Short
-// runs are insertion-sorted: each step past a strictly larger value is one
-// inversion.
+// in O(len log len), leaving v sorted. buf is scratch of v's length.
 func mergeCount(v, buf []int) int64 {
 	n := len(v)
-	if n <= 16 {
-		var inv int64
-		for i := 1; i < n; i++ {
-			x, j := v[i], i
-			for ; j > 0 && v[j-1] > x; j-- {
-				v[j] = v[j-1]
-			}
-			v[j] = x
-			inv += int64(i - j)
-		}
-		return inv
+	if n < 2 {
+		return 0
 	}
 	mid := n / 2
 	inv := mergeCount(v[:mid], buf[:mid]) + mergeCount(v[mid:], buf[mid:])

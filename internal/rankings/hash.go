@@ -23,15 +23,10 @@ func (d *Dataset) Hash() string {
 	}
 	writeInt(d.N)
 	writeInt(len(d.Rankings))
-	// The scratch holds one bucket at a time: sized by the largest bucket,
-	// not by N, which a tiny payload can declare arbitrarily large.
-	widest := 0
-	for _, r := range d.Rankings {
-		for _, b := range r.Buckets {
-			widest = max(widest, len(b))
-		}
-	}
-	scratch := make([]int, 0, widest)
+	// The scratch holds one bucket at a time and grows to the widest one;
+	// it is never sized by N, which a tiny payload can declare arbitrarily
+	// large.
+	var scratch []int
 	for _, r := range d.Rankings {
 		writeInt(len(r.Buckets))
 		for _, b := range r.Buckets {

@@ -4,14 +4,65 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 )
 
-// MarshalJSON encodes a ranking as its bucket array, e.g. [[0],[1,2]].
+// MarshalJSON encodes a ranking as its bucket array, e.g. [[0],[1,2]],
+// byte for byte as json.Marshal encodes r.Buckets. It writes into one
+// buffer of the exact final size: a consensus over a large universe is
+// encoded into every response and every stored result that carries it.
 func (r *Ranking) MarshalJSON() ([]byte, error) {
 	if r.Buckets == nil {
 		return []byte("[]"), nil
 	}
-	return json.Marshal(r.Buckets)
+	size := listLen(len(r.Buckets))
+	for _, b := range r.Buckets {
+		if b == nil {
+			size += len("null")
+			continue
+		}
+		size += listLen(len(b))
+		for _, e := range b {
+			size += decimalLen(e)
+		}
+	}
+	buf := make([]byte, 0, size)
+	buf = append(buf, '[')
+	for i, b := range r.Buckets {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		if b == nil {
+			buf = append(buf, "null"...)
+			continue
+		}
+		buf = append(buf, '[')
+		for j, e := range b {
+			if j > 0 {
+				buf = append(buf, ',')
+			}
+			buf = strconv.AppendInt(buf, int64(e), 10)
+		}
+		buf = append(buf, ']')
+	}
+	return append(buf, ']'), nil
+}
+
+// listLen is the length of a JSON array of k items apart from the items:
+// its brackets and commas.
+func listLen(k int) int { return 2 + max(k-1, 0) }
+
+// decimalLen is the length of v in base 10, sign included.
+func decimalLen(v int) int {
+	n := 1
+	if v < 0 {
+		n++
+	}
+	for v <= -10 || v >= 10 {
+		v /= 10
+		n++
+	}
+	return n
 }
 
 // UnmarshalJSON decodes a bucket array and validates it.

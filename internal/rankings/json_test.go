@@ -2,6 +2,7 @@ package rankings
 
 import (
 	"encoding/json"
+	"math/rand"
 	"testing"
 )
 
@@ -20,6 +21,39 @@ func TestRankingJSONRoundTrip(t *testing.T) {
 	}
 	if !back.Equal(r) {
 		t.Errorf("round trip changed ranking: %v vs %v", &back, r)
+	}
+}
+
+// TestRankingMarshalMatchesEncodingJSON: the hand-written encoder emits
+// the bytes json.Marshal gives for the bucket array — stored results
+// written before it must compare equal to new ones — and sizes its buffer
+// exactly, so encoding a consensus allocates its output once.
+func TestRankingMarshalMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	cases := []*Ranking{
+		{Buckets: [][]int{{}}},
+		{Buckets: [][]int{nil, {7}}},
+		{Buckets: [][]int{{-12, 0, 9}, {10, 99, 100}, {1 << 40, -(1 << 40)}}},
+		FromPermutation([]int{123456789, 0, 1000}),
+	}
+	for i := 0; i < 50; i++ {
+		cases = append(cases, randomRanking(rng, 1+rng.Intn(300)))
+	}
+	for _, r := range cases {
+		got, err := r.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(r.Buckets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("MarshalJSON = %s, json.Marshal(Buckets) = %s", got, want)
+		}
+		if cap(got) != len(got) {
+			t.Errorf("MarshalJSON(%s): buffer capacity %d, length %d", got, cap(got), len(got))
+		}
 	}
 }
 

@@ -2,8 +2,12 @@ package server_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"log"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -32,24 +36,31 @@ func scrape(t *testing.T, url string) string {
 	return string(data)
 }
 
-// routeMaxElements is a budget overBudgetRequest's matrix exceeds in
-// every storage mode (n = 64 → 8192 bytes even at auto's 2 bytes/pair, vs
-// 12·24² = 6912) while its matrix-free state (64 elements at 100 bytes)
-// fits, so auto mode routes it to the approximation tier.
-const routeMaxElements = 24
+// overBudgetN and routeMaxElements form a routing window: the
+// permutation pair of overBudgetRequest projects a pair matrix of
+// 2·128² = 32768 bytes even at auto's leanest 2 bytes/pair, over the
+// 12·48² = 27648-byte budget in every storage mode, while its matrix-free
+// state (rankagg.PredictApproxBytes(128) = 20480) fits, so auto mode
+// routes it to the approximation tier. Routing needs both: at 2 bytes per
+// pair, no budget below -max-elements 33 holds the O(n) state of a dataset
+// whose matrix it refuses.
+const (
+	overBudgetN      = 128
+	routeMaxElements = 48
+)
 
 // overBudgetRequest is a complete permutation dataset whose projected
 // matrix exceeds the routeMaxElements byte budget in every storage mode.
 func overBudgetRequest(algorithm string) server.AggregateRequest {
-	perm := identityPerm(64)
-	rev := make([]int, 64)
+	perm := identityPerm(overBudgetN)
+	rev := make([]int, overBudgetN)
 	for i := range rev {
-		rev[i] = 63 - i
+		rev[i] = overBudgetN - 1 - i
 	}
 	return server.AggregateRequest{
 		Algorithm: algorithm,
 		DatasetWire: rankings.DatasetWire{
-			N:        64,
+			N:        overBudgetN,
 			Rankings: []*rankings.Ranking{rankings.FromPermutation(perm), rankings.FromPermutation(rev)},
 		},
 	}
@@ -76,8 +87,8 @@ func TestApproxRouting(t *testing.T) {
 	if got := resp.Header.Get("X-Rankagg-Tier"); got != "approx" {
 		t.Errorf("X-Rankagg-Tier = %q, want approx", got)
 	}
-	if out.N != 64 || out.M != 2 {
-		t.Errorf("response n=%d m=%d, want 64/2", out.N, out.M)
+	if out.N != overBudgetN || out.M != 2 {
+		t.Errorf("response n=%d m=%d, want %d/2", out.N, out.M, overBudgetN)
 	}
 	if st := s.CacheStats(); st.Entries != 0 || st.Builds != 0 {
 		t.Errorf("approx-routed request touched the session cache: %+v", st)
@@ -146,7 +157,7 @@ func TestApproxForce(t *testing.T) {
 // TestApproxOffRejects: with routing off the over-budget dataset 413s and
 // the rejection is visible in rankagg_admission_rejected_total.
 func TestApproxOffRejects(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{MaxElements: 8, ApproxMode: server.ApproxOff})
+	_, ts := newTestServer(t, server.Config{MaxElements: routeMaxElements, ApproxMode: server.ApproxOff})
 	resp, data := postAggregate(t, ts.URL, overBudgetRequest("BioConsert"))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("over-budget POST under off: %d %s, want 413", resp.StatusCode, data)
@@ -156,6 +167,28 @@ func TestApproxOffRejects(t *testing.T) {
 		`rankagg_admission_rejected_total{reason="matrix-budget"} 1`,
 		"rankagg_approx_routed_total 0",
 		`rankagg_approx_mode{mode="off"} 1`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestRoutingNeedsApproxBudget: under auto, a budget too small for the
+// matrix-free state of the dataset whose matrix it refuses answers 413
+// under its own reason rather than routing: -max-elements 8 holds 768
+// bytes, overBudgetRequest's state needs 20480.
+func TestRoutingNeedsApproxBudget(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{MaxElements: 8})
+	resp, data := postAggregate(t, ts.URL, overBudgetRequest("BioConsert"))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-budget POST under auto, budget below its O(n) state: %d %s, want 413", resp.StatusCode, data)
+	}
+	text := scrape(t, ts.URL)
+	for _, want := range []string{
+		`rankagg_admission_rejected_total{reason="approx-budget"} 1`,
+		`rankagg_admission_rejected_total{reason="matrix-budget"} 0`,
+		"rankagg_approx_requests_total 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
@@ -240,7 +273,7 @@ func TestApproxScoreMatchesRecompute(t *testing.T) {
 	}
 	var out server.AggregateResponse
 	decodeJSON(t, data, &out)
-	d := rankings.NewDataset(64, req.Rankings...)
+	d := rankings.NewDataset(overBudgetN, req.Rankings...)
 	if want := rankagg.Score(out.Consensus, d); out.Score != want {
 		t.Errorf("score %d, recomputed %d", out.Score, want)
 	}
@@ -291,6 +324,87 @@ func TestHugeUniverseRejected(t *testing.T) {
 		if resp, _ := doJSON(t, http.MethodGet, ts.URL+"/healthz", nil); resp.StatusCode != http.StatusOK {
 			t.Errorf("persisted=%v: healthz %d after the rejections, want 200", persisted, resp.StatusCode)
 		}
+	}
+}
+
+// discardWriter is a ResponseWriter that drops the body, as a socket
+// would take it, so that measuring a handler's allocations does not
+// count a recorder buffering the response.
+type discardWriter struct {
+	header http.Header
+	code   int
+	head   []byte // the start of the body
+}
+
+func (w *discardWriter) Header() http.Header  { return w.header }
+func (w *discardWriter) WriteHeader(code int) { w.code = code }
+func (w *discardWriter) Write(p []byte) (int, error) {
+	if len(w.head) < 256 {
+		w.head = append(w.head, p[:min(len(p), 256)]...)
+	}
+	return len(p), nil
+}
+
+// allocsOf serves one request straight through h and returns the
+// response and the bytes allocated while serving it.
+func allocsOf(h http.Handler, method, path, body string) (*discardWriter, uint64) {
+	w := &discardWriter{header: http.Header{}}
+	req := httptest.NewRequest(method, path, strings.NewReader(body))
+	// Two collections empty the sync.Pools, so buffers an earlier request
+	// left behind (encoding/json keeps its encoders pooled) do not hide
+	// this one's allocations.
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(w, req)
+	runtime.ReadMemStats(&after)
+	return w, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestApproxBudgetCoversAllocation: what admission charges a matrix-free
+// request for its universe (rankagg.PredictApproxBytes) covers all it
+// allocates — the family's state, the consensus and its score, and the
+// consensus JSON of the response and of the stored result. Each family
+// runs on one top-1 list over a large universe, so nearly every byte is
+// per element, both inline on an ephemeral server and by hash on a
+// persisted dataset, which also writes its result to the store.
+// TotalAlloc counts garbage too, so it bounds the request's peak from
+// above.
+func TestApproxBudgetCoversAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes differ under the race detector")
+	}
+	const n = 100_000
+	budget := rankagg.PredictApproxBytes(n)
+	for _, algo := range rankagg.Algorithms() {
+		if !rankagg.MatrixFree(algo) {
+			continue
+		}
+		h := server.New(server.Config{Log: log.New(io.Discard, "", 0)}).Handler()
+		w, inline := allocsOf(h, http.MethodPost, "/v1/aggregate",
+			fmt.Sprintf(`{"spec":{"algorithm":%q},"n":%d,"toplists":[[0]]}`, algo, n))
+		if w.code != http.StatusOK {
+			t.Fatalf("%s inline: %d %s", algo, w.code, w.head)
+		}
+		if inline > uint64(budget) {
+			t.Errorf("%s inline: allocated %d bytes, admission charges %d", algo, inline, budget)
+		}
+
+		h = server.New(server.Config{Log: log.New(io.Discard, "", 0), Store: openStore(t, t.TempDir())}).Handler()
+		w, _ = allocsOf(h, http.MethodPut, "/v1/datasets", fmt.Sprintf(`{"n":%d,"toplists":[[0]]}`, n))
+		var created server.DatasetCreateResponse
+		decodeJSON(t, w.head, &created)
+		w, byHash := allocsOf(h, http.MethodPost, "/v1/datasets/"+created.DatasetHash+"/aggregate",
+			fmt.Sprintf(`{"spec":{"algorithm":%q}}`, algo))
+		if w.code != http.StatusOK {
+			t.Fatalf("%s by hash: %d %s", algo, w.code, w.head)
+		}
+		if byHash > uint64(budget) {
+			t.Errorf("%s by hash, persisted: allocated %d bytes, admission charges %d", algo, byHash, budget)
+		}
+		t.Logf("%s: %.0f bytes per element inline, %.0f by hash with the store; charged %.0f",
+			algo, float64(inline)/n, float64(byHash)/n, float64(budget)/n)
 	}
 }
 

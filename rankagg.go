@@ -235,11 +235,12 @@ func PredictMatrixBytes(mode MatrixMode, n, m int, complete bool) int64 {
 	return kendall.PredictBytes(mode, n, m, complete)
 }
 
-// PredictApproxBytes returns the bytes a matrix-free run needs for a
-// universe of n elements beyond what grows with the rankings themselves —
-// the O(n) state a tiny request declaring a huge n would make the
-// approximation tier allocate — so admission controls can budget it the
-// way PredictMatrixBytes budgets the exact tier.
+// PredictApproxBytes returns the bytes a served matrix-free request
+// allocates for a universe of n elements beyond what grows with the
+// rankings themselves — the O(n) state, consensus and consensus JSON a
+// tiny request declaring a huge n would make the approximation tier
+// allocate — so admission controls can budget it the way
+// PredictMatrixBytes budgets the exact tier.
 func PredictApproxBytes(n int) int64 { return approx.PredictBytes(n) }
 
 // NewPairs computes the pairwise disagreement counts of a dataset in the
