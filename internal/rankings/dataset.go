@@ -45,11 +45,16 @@ func (d *Dataset) Clone() *Dataset {
 }
 
 // Validate checks every ranking and that all element IDs fit the universe.
+// A nil ranking — what a JSON null in a ranking list decodes to — is
+// rejected by index.
 func (d *Dataset) Validate() error {
 	if d.N < 0 {
 		return fmt.Errorf("rankings: negative universe size %d", d.N)
 	}
 	for i, r := range d.Rankings {
+		if r == nil {
+			return fmt.Errorf("rankings: ranking %d is null", i)
+		}
 		if err := r.Validate(); err != nil {
 			return fmt.Errorf("ranking %d: %w", i, err)
 		}

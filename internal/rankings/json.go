@@ -1,9 +1,11 @@
 package rankings
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -65,18 +67,206 @@ func decimalLen(v int) int {
 	return n
 }
 
-// UnmarshalJSON decodes a bucket array and validates it.
+// UnmarshalJSON decodes a bucket array and validates it. It accepts
+// exactly what encoding/json accepts for [][]int, with the same values:
+// JSON integers in int's range, whitespace between any two tokens, null
+// for the whole ranking (nil buckets), for a bucket (a nil bucket, which
+// validation rejects) and for an element (0, the zero value encoding/json
+// leaves in place). Fractions, exponents, strings and out-of-range numbers
+// are rejected.
+//
+// It scans the bytes once, by hand: every element goes to one backing
+// array sized from the comma count and each bucket is a capacity-limited
+// window of it, so a ranking of L elements costs O(L) time and a constant
+// number of allocations however many buckets it has. Validate then checks
+// it in O(L) as well.
 func (r *Ranking) UnmarshalJSON(data []byte) error {
-	var buckets [][]int
-	if err := json.Unmarshal(data, &buckets); err != nil {
-		return err
+	dec := rankingDecoder{data: data}
+	buckets, err := dec.ranking()
+	if err == nil {
+		err = (&Ranking{Buckets: buckets}).Validate()
 	}
-	tmp := Ranking{Buckets: buckets}
-	if err := tmp.Validate(); err != nil {
+	if err != nil {
 		return fmt.Errorf("rankings: invalid ranking in JSON: %w", err)
 	}
 	r.Buckets = buckets
 	return nil
+}
+
+// rankingDecoder is UnmarshalJSON's scanner: off is the next unread byte,
+// flat the backing array every bucket is a window of.
+type rankingDecoder struct {
+	data []byte
+	off  int
+	flat []int
+}
+
+// ranking decodes the whole input: one null or bucket array, with nothing
+// but whitespace around it.
+func (d *rankingDecoder) ranking() ([][]int, error) {
+	switch d.skipSpace() {
+	case 'n':
+		if err := d.null(); err != nil {
+			return nil, err
+		}
+		return nil, d.end()
+	case '[':
+		d.off++
+	default:
+		return nil, d.syntaxError("looking for a bucket array")
+	}
+	d.flat = make([]int, 0, bytes.Count(d.data, []byte{','})+1)
+	buckets := make([][]int, 0, bytes.Count(d.data, []byte{'['})-1)
+	if d.skipSpace() == ']' {
+		d.off++
+		return buckets, d.end()
+	}
+	for {
+		var b []int
+		switch d.skipSpace() {
+		case 'n':
+			if err := d.null(); err != nil {
+				return nil, err
+			}
+		case '[':
+			d.off++
+			var err error
+			if b, err = d.bucket(); err != nil {
+				return nil, err
+			}
+		default:
+			return nil, d.syntaxError("looking for a bucket")
+		}
+		buckets = append(buckets, b)
+		switch d.skipSpace() {
+		case ',':
+			d.off++
+		case ']':
+			d.off++
+			return buckets, d.end()
+		default:
+			return nil, d.syntaxError("after a bucket")
+		}
+	}
+}
+
+// bucket decodes a bucket's elements, after its opening bracket, and
+// returns them as a capacity-limited window of the backing array: no
+// append to one bucket can reach into the next.
+func (d *rankingDecoder) bucket() ([]int, error) {
+	start := len(d.flat)
+	if d.skipSpace() == ']' {
+		d.off++
+		return d.flat[start:start:start], nil
+	}
+	for {
+		var e int
+		switch c := d.skipSpace(); {
+		case c == 'n':
+			if err := d.null(); err != nil {
+				return nil, err
+			}
+		case c == '-' || '0' <= c && c <= '9':
+			var err error
+			if e, err = d.integer(); err != nil {
+				return nil, err
+			}
+		default:
+			return nil, d.syntaxError("looking for an element")
+		}
+		d.flat = append(d.flat, e)
+		switch d.skipSpace() {
+		case ',':
+			d.off++
+		case ']':
+			d.off++
+			end := len(d.flat)
+			return d.flat[start:end:end], nil
+		default:
+			return nil, d.syntaxError("after an element")
+		}
+	}
+}
+
+// integer decodes a JSON number that must be an integer in int's range:
+// -?(0|[1-9][0-9]*), not followed by a fraction or an exponent.
+func (d *rankingDecoder) integer() (int, error) {
+	data, start := d.data, d.off
+	neg := data[start] == '-'
+	first := start
+	if neg {
+		first++
+	}
+	i := first
+	var u uint64 // cannot wrap within the 19 digits accepted below
+	for ; i < len(data) && '0' <= data[i] && data[i] <= '9'; i++ {
+		u = u*10 + uint64(data[i]-'0')
+	}
+	d.off = i
+	digits := i - first
+	switch {
+	case digits == 0:
+		return 0, d.syntaxError("in a number")
+	case digits > 1 && data[first] == '0':
+		d.off = first + 1
+		return 0, d.syntaxError("after a leading zero")
+	case i < len(data) && (data[i] == '.' || data[i] == 'e' || data[i] == 'E'):
+		return 0, fmt.Errorf("number at offset %d is not an integer", start)
+	}
+	// A negative number's magnitude may reach -math.MinInt, which int(u)
+	// wraps to math.MinInt and the negation leaves there.
+	limit := uint64(math.MaxInt)
+	if neg {
+		limit++
+	}
+	if digits > 19 || u > limit {
+		return 0, fmt.Errorf("number at offset %d is out of range", start)
+	}
+	v := int(u)
+	if neg {
+		v = -v
+	}
+	return v, nil
+}
+
+// null consumes the literal null.
+func (d *rankingDecoder) null() error {
+	if !bytes.HasPrefix(d.data[d.off:], []byte("null")) {
+		return d.syntaxError("in a literal")
+	}
+	d.off += len("null")
+	return nil
+}
+
+// skipSpace advances past JSON whitespace and returns the next byte, or 0
+// at the end of the input (which no caller mistakes for a NUL byte: 0 is
+// not a token).
+func (d *rankingDecoder) skipSpace() byte {
+	for i, c := range d.data[d.off:] {
+		switch c {
+		case ' ', '\t', '\n', '\r':
+		default:
+			d.off += i
+			return c
+		}
+	}
+	d.off = len(d.data)
+	return 0
+}
+
+// end checks that only whitespace follows the decoded value.
+func (d *rankingDecoder) end() error {
+	if d.skipSpace(); d.off < len(d.data) {
+		return d.syntaxError("after the bucket array")
+	}
+	return nil
+}
+
+func (d *rankingDecoder) syntaxError(where string) error {
+	if d.off >= len(d.data) {
+		return fmt.Errorf("unexpected end of input %s", where)
+	}
+	return fmt.Errorf("unexpected %q at offset %d %s", d.data[d.off], d.off, where)
 }
 
 // ErrNoRankings is returned by DatasetWire.Decode for payloads carrying no
@@ -104,6 +294,9 @@ func (w *DatasetWire) Decode() (*Dataset, *Universe, error) {
 	n := w.N
 	if n == 0 {
 		for _, r := range w.Rankings {
+			if r == nil {
+				continue // rejected by d.Validate below
+			}
 			if m := r.MaxElement() + 1; m > n {
 				n = m
 			}

@@ -161,6 +161,9 @@ func TestDatasetWireDecodeErrors(t *testing.T) {
 		{"duplicate element within bucket", `{"rankings":[[[1,1]]]}`},
 		{"empty bucket", `{"rankings":[[[]]]}`},
 		{"negative element", `{"rankings":[[[-1]]]}`},
+		{"null ranking", `{"rankings":[null]}`},
+		{"null ranking after a valid one", `{"rankings":[[[0],[1]],null]}`},
+		{"null ranking with a declared universe", `{"n":2,"rankings":[[[0],[1]],null]}`},
 	}
 	for _, c := range unmarshal {
 		var w DatasetWire
@@ -176,6 +179,7 @@ func TestDatasetWireDecodeErrors(t *testing.T) {
 		w    DatasetWire
 	}{
 		{"no rankings", DatasetWire{}},
+		{"nil ranking", DatasetWire{Rankings: []*Ranking{New([]int{0}), nil}}},
 		{"empty ranking list", DatasetWire{Rankings: []*Ranking{}}},
 		{"element outside declared universe", DatasetWire{N: 1, Rankings: []*Ranking{New([]int{5})}}},
 		{"name count mismatch", DatasetWire{N: 3, Names: []string{"A"}, Rankings: []*Ranking{New([]int{0})}}},
@@ -211,6 +215,7 @@ func TestDatasetJSONErrors(t *testing.T) {
 		`{"n":1,"names":["a","b"],"rankings":[]}`,  // name count mismatch
 		`{"n":1,"names":["a"],"rankings":[[[5]]]}`, // element outside universe
 		`{"n":2,"names":["a","a"],"rankings":[]}`,  // duplicate names
+		`{"n":2,"rankings":[[[0],[1]],null]}`,      // null ranking
 		`not json`,
 	}
 	for _, c := range cases {

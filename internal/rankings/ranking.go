@@ -14,6 +14,7 @@ package rankings
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -144,9 +145,11 @@ func (r *Ranking) MaxElement() int {
 }
 
 // Validate checks structural invariants: non-empty buckets, no negative IDs,
-// and no element appearing twice.
+// and no element appearing twice. It runs in O(L) for a ranking of L
+// elements and allocates O(L) bytes whatever its largest ID: a ranking of
+// two elements may name element 1<<62.
 func (r *Ranking) Validate() error {
-	seen := make(map[int]bool, r.Len())
+	n, maxE := 0, -1
 	for i, b := range r.Buckets {
 		if len(b) == 0 {
 			return fmt.Errorf("rankings: bucket %d is empty", i)
@@ -155,13 +158,54 @@ func (r *Ranking) Validate() error {
 			if e < 0 {
 				return fmt.Errorf("rankings: negative element ID %d in bucket %d", e, i)
 			}
-			if seen[e] {
-				return fmt.Errorf("rankings: element %d appears more than once", e)
+			maxE = max(maxE, e)
+		}
+		n += len(b)
+	}
+	return checkDistinct(r.Buckets, n, maxE)
+}
+
+// bitmapFactor bounds checkDistinct's bitmap: it is used while the largest
+// ID is below bitmapFactor times the element count, so it never takes more
+// than one word per element.
+const bitmapFactor = 64
+
+// checkDistinct reports an element that appears twice in buckets, which
+// hold n non-negative IDs of at most maxE. Dense IDs are marked in a
+// bitmap, in ranking order; sparse ones are found as equal neighbours in a
+// sorted copy. Either way it allocates at most n words.
+func checkDistinct(buckets [][]int, n, maxE int) error {
+	if n < 2 {
+		return nil
+	}
+	if maxE/bitmapFactor < n {
+		seen := make([]uint64, maxE/64+1)
+		for _, b := range buckets {
+			for _, e := range b {
+				w, bit := e/64, uint64(1)<<(e%64)
+				if seen[w]&bit != 0 {
+					return duplicateError(e)
+				}
+				seen[w] |= bit
 			}
-			seen[e] = true
+		}
+		return nil
+	}
+	sorted := make([]int, 0, n)
+	for _, b := range buckets {
+		sorted = append(sorted, b...)
+	}
+	slices.Sort(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return duplicateError(sorted[i])
 		}
 	}
 	return nil
+}
+
+func duplicateError(e int) error {
+	return fmt.Errorf("rankings: element %d appears more than once", e)
 }
 
 // Canonicalize sorts the contents of each bucket in ascending element order.

@@ -280,8 +280,8 @@ func TestApproxScoreMatchesRecompute(t *testing.T) {
 }
 
 // TestHugeUniverseRejected: a tiny body declaring a universe of 10¹¹
-// elements must reach neither the content hash nor the approximation
-// tier's O(n) state. Inline POST (rankings and toplists forms) and PUT,
+// elements, or implying one with a single huge element ID, must reach
+// neither the content hash nor the approximation tier's O(n) state. Inline POST (rankings and toplists forms) and PUT,
 // with a store and without, each answer 413 under the default budget,
 // counted under their own admission reason; nothing is persisted and the
 // server stays up.
@@ -291,6 +291,8 @@ func TestHugeUniverseRejected(t *testing.T) {
 		{http.MethodPost, "/v1/aggregate", `{"spec":{"algorithm":"BordaCount"},"n":100000000000,"toplists":[[0]]}`},
 		{http.MethodPut, "/v1/datasets", `{"n":100000000000,"rankings":[[[0]]]}`},
 		{http.MethodPut, "/v1/datasets", `{"n":100000000000,"toplists":[[0]]}`},
+		{http.MethodPost, "/v1/aggregate", `{"spec":{"algorithm":"BordaCount"},"rankings":[[[0],[99999999999]]]}`},
+		{http.MethodPut, "/v1/datasets", `{"rankings":[[[0],[99999999999]]]}`},
 	}
 	for _, persisted := range []bool{false, true} {
 		cfg := server.Config{}
@@ -314,7 +316,7 @@ func TestHugeUniverseRejected(t *testing.T) {
 			}
 		}
 		text := scrape(t, ts.URL)
-		if want := `rankagg_admission_rejected_total{reason="approx-budget"} 4`; !strings.Contains(text, want) {
+		if want := `rankagg_admission_rejected_total{reason="approx-budget"} 6`; !strings.Contains(text, want) {
 			t.Errorf("persisted=%v: metrics missing %q:\n%s", persisted, want, text)
 		}
 		resp, data := doJSON(t, http.MethodGet, ts.URL+"/v1/datasets", nil)
@@ -323,6 +325,38 @@ func TestHugeUniverseRejected(t *testing.T) {
 		}
 		if resp, _ := doJSON(t, http.MethodGet, ts.URL+"/healthz", nil); resp.StatusCode != http.StatusOK {
 			t.Errorf("persisted=%v: healthz %d after the rejections, want 200", persisted, resp.StatusCode)
+		}
+	}
+}
+
+// TestNullRankingRejected: a null in a ranking list decodes to a nil
+// ranking, which dataset validation rejects by index — a 400 on inline
+// POST and PUT, with or without a store, and the server stays up.
+func TestNullRankingRejected(t *testing.T) {
+	bodies := []string{
+		`"rankings":[null]`,
+		`"rankings":[[[0],[1]],null]`,
+		`"n":2,"rankings":[[[0],[1]],null]`,
+	}
+	for _, persisted := range []bool{false, true} {
+		cfg := server.Config{}
+		if persisted {
+			cfg.Store = openStore(t, t.TempDir())
+		}
+		_, ts := newTestServer(t, cfg)
+		for _, b := range bodies {
+			for _, rq := range []struct{ method, path, body string }{
+				{http.MethodPost, "/v1/aggregate", `{"spec":{"algorithm":"BordaCount"},` + b + `}`},
+				{http.MethodPut, "/v1/datasets", `{` + b + `}`},
+			} {
+				resp, data := doJSON(t, rq.method, ts.URL+rq.path, json.RawMessage(rq.body))
+				if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "null") {
+					t.Errorf("persisted=%v %s %s: %d %s, want 400 naming the null ranking", persisted, rq.method, rq.body, resp.StatusCode, data)
+				}
+			}
+		}
+		if resp, _ := doJSON(t, http.MethodGet, ts.URL+"/healthz", nil); resp.StatusCode != http.StatusOK {
+			t.Errorf("persisted=%v: healthz %d after the null rankings, want 200", persisted, resp.StatusCode)
 		}
 	}
 }

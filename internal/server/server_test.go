@@ -136,6 +136,8 @@ func TestAggregateErrorPaths(t *testing.T) {
 		{"empty input", `{"algorithm":"BioConsert","rankings":[]}`, http.StatusBadRequest},
 		{"duplicate element", `{"algorithm":"BioConsert","rankings":[[[0],[0]]]}`, http.StatusBadRequest},
 		{"incomplete dataset", `{"algorithm":"BioConsert","rankings":[[[0],[1]],[[2]]]}`, http.StatusBadRequest},
+		{"fractional element", `{"spec":{"algorithm":"BordaCount"},"rankings":[[[0],[1.5]]]}`, http.StatusBadRequest},
+		{"element beyond int64", `{"spec":{"algorithm":"BordaCount"},"rankings":[[[0],[99999999999999999999]]]}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, body := post(c.body)
