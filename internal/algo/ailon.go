@@ -76,11 +76,14 @@ func (a *Ailon) AggregateWithPairs(d *rankings.Dataset, p *kendall.Pairs) (*rank
 // AggregateCtx implements core.CtxAggregator. The lazy-cut relaxation loop
 // checks the context between cut rounds (each round is one simplex solve —
 // the coarsest poll interval in the suite, documented here: a cancel during
-// a round returns after that round's solve). On a deadline the relaxation
-// reached so far is rounded anyway and returned with DeadlineHit — uniform
-// with the exact methods' incumbent-on-deadline reporting; if the deadline
-// fires before the first solve finishes, a TimeLimitError is returned
-// (there is nothing to round yet).
+// a round returns after that round's solve), and the rounding loop checks
+// it before each randomized rounding. On a deadline the relaxation
+// reached so far is rounded anyway — the derandomized rounding always, the
+// randomized ones until the deadline — and returned with DeadlineHit,
+// uniform with the exact methods' incumbent-on-deadline reporting;
+// Stats.Restarts counts the randomized roundings completed. If the
+// deadline fires before the first solve finishes, a TimeLimitError is
+// returned (there is nothing to round yet).
 func (a *Ailon) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts core.RunOptions) (*core.RunResult, error) {
 	if err := core.CheckInput(d); err != nil {
 		return nil, err
@@ -136,15 +139,22 @@ func (a *Ailon) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts core
 	if opts.Restarts > 0 {
 		runs = opts.Restarts
 	}
-	for run := 0; run < runs; run++ {
+	// One worker keeps the roundings on the single rng stream, in order;
+	// the pool polls ctx before each one.
+	completed := 0
+	runAllCtx(ctx, runs, 1, func(_, _ int) {
 		var out []int
 		lpQuickSort(u, d.N, rng, append([]int(nil), elems...), &out)
 		consider(rankings.FromPermutation(out))
+		completed++
+	})
+	if deadlineHit, err = pollOutcome(ctx); err != nil {
+		return nil, err
 	}
 	return &core.RunResult{
 		Consensus:   best,
 		DeadlineHit: deadlineHit,
-		Stats:       core.SearchStats{Restarts: runs},
+		Stats:       core.SearchStats{Restarts: completed},
 	}, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rankagg/internal/gen"
+	"rankagg/internal/kendall"
 	"rankagg/internal/rankings"
 )
 
@@ -31,11 +32,14 @@ func BenchmarkBioConsertByN(b *testing.B) {
 	}
 }
 
-// BenchmarkKwikSortByN tracks the large-n recommendation.
+// BenchmarkKwikSortByN tracks the large-n recommendation, plus
+// KwikSortMin (16 runs, each scored) at the served exact tier's dataset
+// shape: n=200, m=20 uniform bucket orders with ties.
 func BenchmarkKwikSortByN(b *testing.B) {
 	for _, n := range []int{50, 200, 1000} {
 		d := benchDataset(2, 7, n)
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := (&KwikSort{}).Aggregate(d); err != nil {
 					b.Fatal(err)
@@ -43,6 +47,16 @@ func BenchmarkKwikSortByN(b *testing.B) {
 			}
 		})
 	}
+	d := benchDataset(8, 20, 200)
+	p := kendall.NewPairs(d)
+	b.Run("KwikSortMin_n200_m20", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := (&KwikSort{Runs: 16}).AggregateWithPairs(d, p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkPositionalByN confirms the positional family's near-linear cost.

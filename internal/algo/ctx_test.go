@@ -2,6 +2,7 @@ package algo
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -57,6 +58,12 @@ func TestCtxCancelMidSearch(t *testing.T) {
 		}},
 		{"RepeatChoiceMin", 20, 200, func(ctx context.Context, d *dsWithPairs) error {
 			_, err := (&RepeatChoice{Runs: 200000}).AggregateCtx(ctx, d.d, core.RunOptions{Pairs: d.p})
+			return err
+		}},
+		{"Ailon3/2", 5, 8, func(ctx context.Context, d *dsWithPairs) error {
+			// A small relaxation solves well before the cancel; the
+			// roundings after it must poll, one per rounding.
+			_, err := (&Ailon{}).AggregateCtx(ctx, d.d, core.RunOptions{Pairs: d.p, Restarts: math.MaxInt32})
 			return err
 		}},
 		{"BnBBeam", 7, 300, func(ctx context.Context, d *dsWithPairs) error {

@@ -15,37 +15,54 @@ import (
 // completed; ties break toward the lowest run index — the order a
 // sequential scan would keep, so the result is identical for any worker
 // count. build(run) produces candidate number run from its own
-// deterministic randomness source. The pool stops claiming runs once ctx is
-// done; if no run completed at all (deadline already expired), run 0 is
-// built anyway — a single run is cheap and a consensus must exist. The
-// fallback is skipped on explicit cancellation: the caller discards the
-// result as context.Canceled, so building one would only delay the
-// promised prompt return.
+// deterministic randomness source. Each worker scores its candidates as
+// they come and keeps only its running best, a (score, run index) pair
+// merged at the end, so the pool holds O(workers) candidates however many
+// runs are asked for: a huge restart count is bounded by the deadline,
+// not by memory. The pool stops claiming runs once ctx is done; if no run
+// completed at all (deadline already expired), run 0 is built anyway — a
+// single run is cheap and a consensus must exist. The fallback is skipped
+// on explicit cancellation: the caller discards the result as
+// context.Canceled, so building one would only delay the promised prompt
+// return.
 func runBestCtx(ctx context.Context, p *kendall.Pairs, runs, workers int, build func(run int) *rankings.Ranking) (*rankings.Ranking, int) {
-	results := make([]*rankings.Ranking, runs)
-	runAllCtx(ctx, runs, workers, func(i int) { results[i] = build(i) })
-	var best *rankings.Ranking
-	var bestScore int64
+	type candidate struct {
+		r         *rankings.Ranking
+		score     int64
+		run, done int
+	}
+	bests := make([]candidate, max(min(workers, runs), 1))
+	runAllCtx(ctx, runs, workers, func(w, run int) {
+		r := build(run)
+		s := p.Score(r)
+		b := &bests[w]
+		b.done++
+		// A worker claims runs in increasing order, so a strictly lower
+		// score is the only way a later run can win here.
+		if b.r == nil || s < b.score {
+			b.r, b.score, b.run = r, s, run
+		}
+	})
+	var best candidate
 	completed := 0
-	for _, r := range results {
-		if r == nil {
-			continue
-		}
-		completed++
-		if s := p.Score(r); best == nil || s < bestScore {
-			best, bestScore = r, s
+	for _, b := range bests {
+		completed += b.done
+		if b.r != nil && (best.r == nil || b.score < best.score || b.score == best.score && b.run < best.run) {
+			best = b
 		}
 	}
-	if best == nil && ctx.Err() != context.Canceled {
-		best = build(0)
+	if best.r == nil && ctx.Err() != context.Canceled {
+		best.r = build(0)
 	}
-	return best, completed
+	return best.r, completed
 }
 
-// runAllCtx executes f(0..n-1) on min(workers, n) workers (sequentially
+// runAllCtx executes f(w, 0..n-1) on min(workers, n) workers (sequentially
 // when workers <= 1), checking ctx before each run (a run is a full
-// aggregation pass — plenty of work per unthrottled check).
-func runAllCtx(ctx context.Context, n, workers int, f func(i int)) {
+// aggregation pass — plenty of work per unthrottled check). w is the index
+// of the worker running i, in [0, min(workers, n)); one worker's calls
+// never overlap, and it claims its i in increasing order.
+func runAllCtx(ctx context.Context, n, workers int, f func(w, i int)) {
 	if workers > n {
 		workers = n
 	}
@@ -54,7 +71,7 @@ func runAllCtx(ctx context.Context, n, workers int, f func(i int)) {
 			if ctx.Err() != nil {
 				return
 			}
-			f(i)
+			f(0, i)
 		}
 		return
 	}
@@ -69,7 +86,7 @@ func runAllCtx(ctx context.Context, n, workers int, f func(i int)) {
 				if i >= n || ctx.Err() != nil {
 					return
 				}
-				f(i)
+				f(w, i)
 			}
 		}()
 	}
@@ -112,9 +129,11 @@ func (t *spareTokens) release() { t.n.Add(1) }
 // are aggregated recursively — and, when the worker budget has tokens to
 // spare, concurrently: every node derives independent child seeds from its
 // own seed (splitmix64) before recursing, so the consensus is identical
-// for every worker count and schedule. Memory is at worst pseudo-linear in n beyond the
-// shared pair matrix, which makes it the paper's recommendation for very
-// large datasets (n > 30000, Section 7.4).
+// for every worker count and schedule. Beyond the shared pair matrix a run
+// needs O(n) memory — one element buffer, one scratch buffer and the
+// bucket list cut from the first — and the best-of pool O(workers)
+// candidates, which makes it the paper's recommendation for very large
+// datasets (n > 30000, Section 7.4).
 type KwikSort struct {
 	// Runs > 1 evaluates several randomized runs and keeps the best
 	// ("KwikSortMin").
@@ -190,10 +209,6 @@ func (a *KwikSort) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts c
 	if opts.Workers > 0 {
 		workers = opts.Workers
 	}
-	elems := make([]int, d.N)
-	for i := range elems {
-		elems[i] = i
-	}
 	// Tokens the run pool leaves idle feed the recursive halves: a lone
 	// run on an 8-worker budget splits its recursion across all 8, while
 	// 16 runs on the same budget keep the parallelism at the run level.
@@ -202,10 +217,9 @@ func (a *KwikSort) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts c
 	if spare > 0 {
 		tok = newSpareTokens(spare)
 	}
+	kwikRun := newKwikRun(p, tok)
 	best, completed := runBestCtx(ctx, p, runs, workers, func(run int) *rankings.Ranking {
-		return &rankings.Ranking{
-			Buckets: kwiksort(p, seed+0x6b71+int64(run)*0x9e3779b9, append([]int(nil), elems...), tok),
-		}
+		return kwikRun(seed + 0x6b71 + int64(run)*0x9e3779b9)
 	})
 	deadlineHit, err := pollOutcome(ctx)
 	if err != nil {
@@ -225,7 +239,7 @@ func (a *KwikSort) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts c
 const kwikParallelMin = 48
 
 // splitmix64 is the finalizer of the SplitMix64 generator: a cheap,
-// allocation-free, well-mixed hash of its input. kwiksort uses it as a
+// allocation-free, well-mixed hash of its input. kwikSorter.sort uses it as a
 // splittable randomness source — one node seed hashes into a pivot draw
 // and two independent child seeds — instead of paying a rand.Rand
 // allocation (and its 607-word seeding pass) at every recursion node.
@@ -236,57 +250,135 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// kwiksort recursively partitions elems around a random pivot and returns
-// the resulting buckets in consensus order. Each node owns a seed: three
-// splitmix64 draws from it yield the pivot choice and one independent
-// seed per child, so the bucket order is a pure function of
-// (seed, elems) — parallel and sequential execution, any worker count,
-// any schedule, produce identical output. When tok has a spare worker
-// token and both halves are big enough, the two halves run concurrently.
-func kwiksort(p *kendall.Pairs, seed int64, elems []int, tok *spareTokens) [][]int {
+// newKwikRun returns one KwikSort pass over the universe [0, p.N) as a
+// function of its seed. It dispatches on the matrix's storage width once,
+// here, so every node reads its pivot's typed row pair directly. A pass
+// allocates one element buffer and one scratch buffer of n ints and
+// returns its buckets as capacity-limited windows of the element buffer.
+func newKwikRun(p *kendall.Pairs, tok *spareTokens) func(seed int64) *rankings.Ranking {
+	switch p.Width() {
+	case 32:
+		return kwikRunRows(p, p.Rows32, tok)
+	case 16:
+		return kwikRunRows(p, p.Rows16, tok)
+	}
+	return kwikRunRows(p, p.Rows8, tok)
+}
+
+func kwikRunRows[T kendall.Count](p *kendall.Pairs, rows func(a int) (before, after, tied []T), tok *spareTokens) func(seed int64) *rankings.Ranking {
+	k := &kwikSorter[T]{rows: rows, m: int64(p.M), tok: tok}
+	n := p.N
+	return func(seed int64) *rankings.Ranking {
+		elems, lens := make([]int, n), make([]int, n)
+		for i := range elems {
+			elems[i] = i
+		}
+		k.sort(seed, elems, lens)
+		return &rankings.Ranking{Buckets: kwikBuckets(elems, lens)}
+	}
+}
+
+// kwikSorter is what every node of a KwikSort pass reads: the typed pair
+// rows of the matrix, its ranking count (for the derived tied counts) and
+// the spare worker tokens the two halves may split over.
+type kwikSorter[T kendall.Count] struct {
+	rows func(a int) (before, after, tied []T)
+	m    int64
+	tok  *spareTokens
+}
+
+// sort partitions elems around a random pivot and recurses on the two
+// strict sides, leaving elems in consensus order and, at the first
+// position of every bucket, the bucket's length in scratch (kwikBuckets
+// cuts the buckets from that). scratch is elems' window of the pass's
+// scratch buffer: the partition stages the tied and right elements there,
+// and a finished bucket's window is never staged into again. Each node
+// owns a seed: three splitmix64 draws from it yield the pivot choice and
+// one independent seed per child, so the bucket order is a pure function
+// of (seed, elems) — parallel and sequential execution, any worker count,
+// any schedule, produce identical output. When a spare worker token is
+// free and both halves are big enough, the two halves run concurrently on
+// their disjoint windows.
+func (k *kwikSorter[T]) sort(seed int64, elems, scratch []int) {
 	switch len(elems) {
 	case 0:
-		return nil
+		return
 	case 1:
-		return [][]int{elems}
+		scratch[0] = 1
+		return
 	}
 	s := uint64(seed)
 	pivot := elems[int(splitmix64(s)%uint64(len(elems)))]
 	leftSeed, rightSeed := int64(splitmix64(s+1)), int64(splitmix64(s+2))
-	var left, right []int
-	tied := []int{pivot}
+	before, after, tied := k.rows(pivot)
+	// Stable three-way partition: the left side compacts in place at the
+	// front of elems (a write never overtakes the read), the tied bucket
+	// collects after the pivot at the front of scratch, and the right side
+	// fills scratch from the back.
+	nl, nt, nr := 0, 1, 0
+	scratch[0] = pivot
+	last := len(elems) - 1
 	for _, e := range elems {
 		if e == pivot {
 			continue
 		}
-		cb := p.CostBefore(e, pivot) // e strictly before pivot
-		ca := p.CostBefore(pivot, e) // e strictly after pivot
-		ct := p.CostTied(e, pivot)   // e tied with pivot
+		// B, A, T: the rankings with the pivot before e, after e, tied
+		// with e; T is derived as M − A − B when the matrix stores no tied
+		// plane.
+		b, a := int64(before[e]), int64(after[e])
+		t := k.m - a - b
+		if tied != nil {
+			t = int64(tied[e])
+		}
+		cb, ca, ct := b+t, a+t, a+b // cost of e before, after, tied with the pivot
 		switch {
 		case cb <= ca && cb <= ct:
-			left = append(left, e)
+			elems[nl] = e
+			nl++
 		case ca <= ct:
-			right = append(right, e)
+			scratch[last-nr] = e
+			nr++
 		default:
-			tied = append(tied, e)
+			scratch[nt] = e
+			nt++
 		}
 	}
-	var lb [][]int
-	if tok != nil && len(left) >= kwikParallelMin && len(right) >= kwikParallelMin && tok.tryAcquire() {
+	hi := nl + nt
+	copy(elems[nl:], scratch[:nt])
+	for i := range elems[hi:] {
+		elems[hi+i] = scratch[last-i]
+	}
+	scratch[nl] = nt
+	if k.tok != nil && nl >= kwikParallelMin && nr >= kwikParallelMin && k.tok.tryAcquire() {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer tok.release()
-			lb = kwiksort(p, leftSeed, left, tok)
+			defer k.tok.release()
+			k.sort(leftSeed, elems[:nl], scratch[:nl])
 		}()
-		rb := kwiksort(p, rightSeed, right, tok)
+		k.sort(rightSeed, elems[hi:], scratch[hi:])
 		wg.Wait()
-		out := append(lb, tied)
-		return append(out, rb...)
+		return
 	}
-	out := append(kwiksort(p, leftSeed, left, tok), tied)
-	return append(out, kwiksort(p, rightSeed, right, tok)...)
+	k.sort(leftSeed, elems[:nl], scratch[:nl])
+	k.sort(rightSeed, elems[hi:], scratch[hi:])
+}
+
+// kwikBuckets cuts a finished pass's element buffer into its buckets, in
+// order: lens holds each bucket's length at the bucket's first position
+// (the entries in between are stale scratch, stepped over).
+func kwikBuckets(elems, lens []int) [][]int {
+	k := 0
+	for i := 0; i < len(elems); i += lens[i] {
+		k++
+	}
+	out := make([][]int, 0, k)
+	for i := 0; i < len(elems); i += lens[i] {
+		j := i + lens[i]
+		out = append(out, elems[i:j:j])
+	}
+	return out
 }
 
 func init() {

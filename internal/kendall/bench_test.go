@@ -89,6 +89,7 @@ func BenchmarkPairsScore(b *testing.B) {
 	d := rankings.NewDataset(n, rks...)
 	p := NewPairs(d)
 	cand := randomRanking(rng, n)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Score(cand)

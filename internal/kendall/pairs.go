@@ -608,9 +608,9 @@ func (p *Pairs) LowerBound(elems []int) int64 {
 
 // Score computes the generalized Kemeny score K(r, R) of a consensus from
 // the pair matrix in O(n²), independent of m. The consensus must cover a
-// subset of the universe; uncovered elements are ignored. Like the
-// accumulation, it walks bucket runs instead of comparing positions, once
-// per backend instantiation.
+// subset of the universe; uncovered elements are ignored. It flattens the
+// consensus once — its only allocation — and sums each element's matrix
+// row over contiguous runs of that order, once per backend instantiation.
 func (p *Pairs) Score(r *rankings.Ranking) int64 {
 	n := p.N
 	rs, ao := n, 0
@@ -638,37 +638,48 @@ func (p *Pairs) Score(r *rankings.Ranking) int64 {
 	return scorePlanes(n, int64(p.M), p.b8, a, p.t8, rs, ao, r)
 }
 
-// scorePlanes is the bucket-run Score over one concrete backend. Before
-// rows sit at stride rs in bbuf and after rows ao counts further into
-// abuf (abuf aliases bbuf on the tiled layout). With a nil tied plane
-// (derived layout, hence complete) the cross-bucket cost after + tied
-// collapses to m − before — one row load per element instead of two.
+// scorePlanes is Score over one concrete backend. Before rows sit at
+// stride rs in bbuf and after rows ao counts further into abuf (abuf
+// aliases bbuf on the tiled layout). With the consensus flattened, the
+// elements an element a precedes are one contiguous suffix of the order,
+// and its bucket-mates the run just before that suffix: a costs
+// CostTied = before + after against each mate and CostBefore = after +
+// tied against each suffix element. With a nil tied plane (derived layout,
+// hence complete) CostBefore is m − before, so the suffix sum is
+// m·|suffix| − Σ before — one row load per pair instead of two.
 func scorePlanes[T Count](n int, m int64, bbuf, abuf, tied []T, rs, ao int, r *rankings.Ranking) int64 {
+	flat := make([]int, 0, r.Len())
+	for _, b := range r.Buckets {
+		flat = append(flat, b...)
+	}
 	var k int64
-	bs := r.Buckets
-	for i, bi := range bs {
-		for xi, a := range bi {
+	end := 0
+	for _, bi := range r.Buckets {
+		start := end
+		end += len(bi)
+		rest := flat[end:]
+		for x := start; x < end; x++ {
+			a := flat[x]
 			brow := bbuf[a*rs : a*rs+n]
 			arow := abuf[a*rs+ao : a*rs+ao+n]
-			// a tied with the rest of its bucket: CostTied = before + after.
-			for _, b := range bi[xi+1:] {
-				k += int64(brow[b]) + int64(arow[b])
+			// Separate sums for the bucket-mates and the suffix: measured
+			// faster than adding every pair straight into k.
+			var tie, cross int64
+			for _, b := range flat[x+1 : end] {
+				tie += int64(brow[b]) + int64(arow[b])
 			}
-			// a strictly before later buckets: CostBefore = after + tied.
 			if tied == nil {
-				for _, bj := range bs[i+1:] {
-					for _, b := range bj {
-						k += m - int64(brow[b])
-					}
+				for _, b := range rest {
+					cross += int64(brow[b])
 				}
+				cross = m*int64(len(rest)) - cross
 			} else {
 				trow := tied[a*n : a*n+n]
-				for _, bj := range bs[i+1:] {
-					for _, b := range bj {
-						k += int64(arow[b]) + int64(trow[b])
-					}
+				for _, b := range rest {
+					cross += int64(arow[b]) + int64(trow[b])
 				}
 			}
+			k += tie + cross
 		}
 	}
 	return k

@@ -140,22 +140,132 @@ func TestNewPairsParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestPairsScoreMatchesKemeny checks the bucket-run Score against the
-// distance-based Kemeny score on complete datasets, including subset
-// consensus scoring.
+// TestPairsScoreMatchesKemeny checks Score against the distance-based
+// Kemeny score on complete datasets, and against the nested per-bucket
+// Score it replaced on complete and partial ones, in every matrix mode and
+// untiled layout. Candidates include subsets of the universe and
+// singleton-heavy orders like the ones KwikSort emits, up to n≈300.
 func TestPairsScoreMatchesKemeny(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < 60; trial++ {
 		m, n := 1+rng.Intn(6), 2+rng.Intn(12)
-		d := randomDataset(rng, m, n, false)
-		p := NewPairs(d)
-		r := randomTiedRanking(rng, n, trial%2 == 1)
+		if trial%4 == 3 {
+			n = 100 + rng.Intn(200)
+		}
+		partialData := trial%3 == 2
+		d := randomDataset(rng, m, n, partialData)
+		var r *rankings.Ranking
+		switch trial % 2 {
+		case 0:
+			r = randomTiedRanking(rng, n, trial%4 == 2)
+		default:
+			r = singletonHeavyRanking(rng, n, trial%3 == 0)
+		}
 		want := int64(0)
 		for _, s := range d.Rankings {
 			want += Dist(r, s, n)
 		}
-		if got := p.Score(r); got != want {
-			t.Fatalf("trial %d: Pairs.Score = %d, Σ Dist = %d", trial, got, want)
+		for _, mode := range allModes {
+			for _, p := range []*Pairs{NewPairsMode(d, mode), NewPairsUntiled(d, mode)} {
+				got := p.Score(r)
+				if oracle := scoreNested(p, r); got != oracle {
+					t.Fatalf("trial %d (%s): Pairs.Score = %d, nested oracle %d", trial, p.Layout(), got, oracle)
+				}
+				if !partialData && got != want {
+					t.Fatalf("trial %d (%s): Pairs.Score = %d, Σ Dist = %d", trial, p.Layout(), got, want)
+				}
+			}
+		}
+	}
+}
+
+// singletonHeavyRanking draws a bucket order with few ties (positions from
+// a range four times the universe); partial drops a quarter of the
+// elements.
+func singletonHeavyRanking(rng *rand.Rand, n int, partial bool) *rankings.Ranking {
+	pos := make([]int, n)
+	for e := range pos {
+		if partial && rng.Intn(4) == 0 {
+			continue
+		}
+		pos[e] = 1 + rng.Intn(4*n)
+	}
+	return rankings.FromPositions(pos)
+}
+
+// scoreNested is the per-bucket nested-loop Score the flattened one
+// replaced, kept verbatim as its oracle.
+func scoreNested(p *Pairs, r *rankings.Ranking) int64 {
+	n := p.N
+	rs, ao := n, 0
+	if p.rep.tiled {
+		rs, ao = 2*n, n
+	}
+	switch p.rep.width {
+	case 4:
+		a := p.a32
+		if p.rep.tiled {
+			a = p.b32
+		}
+		return scorePlanesNested(n, int64(p.M), p.b32, a, p.t32, rs, ao, r)
+	case 2:
+		a := p.a16
+		if p.rep.tiled {
+			a = p.b16
+		}
+		return scorePlanesNested(n, int64(p.M), p.b16, a, p.t16, rs, ao, r)
+	}
+	a := p.a8
+	if p.rep.tiled {
+		a = p.b8
+	}
+	return scorePlanesNested(n, int64(p.M), p.b8, a, p.t8, rs, ao, r)
+}
+
+func scorePlanesNested[T Count](n int, m int64, bbuf, abuf, tied []T, rs, ao int, r *rankings.Ranking) int64 {
+	var k int64
+	bs := r.Buckets
+	for i, bi := range bs {
+		for xi, a := range bi {
+			brow := bbuf[a*rs : a*rs+n]
+			arow := abuf[a*rs+ao : a*rs+ao+n]
+			// a tied with the rest of its bucket: CostTied = before + after.
+			for _, b := range bi[xi+1:] {
+				k += int64(brow[b]) + int64(arow[b])
+			}
+			// a strictly before later buckets: CostBefore = after + tied.
+			if tied == nil {
+				for _, bj := range bs[i+1:] {
+					for _, b := range bj {
+						k += m - int64(brow[b])
+					}
+				}
+			} else {
+				trow := tied[a*n : a*n+n]
+				for _, bj := range bs[i+1:] {
+					for _, b := range bj {
+						k += int64(arow[b]) + int64(trow[b])
+					}
+				}
+			}
+		}
+	}
+	return k
+}
+
+// TestPairsScoreAllocatesOnce: Score's only allocation is the flattened
+// consensus, on every layout.
+func TestPairsScoreAllocatesOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(74))
+	for _, partial := range []bool{false, true} {
+		d := randomDataset(rng, 20, 200, partial)
+		r := singletonHeavyRanking(rng, 200, false)
+		for _, mode := range allModes {
+			for _, p := range []*Pairs{NewPairsMode(d, mode), NewPairsUntiled(d, mode)} {
+				if allocs := testing.AllocsPerRun(10, func() { p.Score(r) }); allocs > 1 {
+					t.Errorf("%s: Score made %.0f allocations, want at most 1", p.Layout(), allocs)
+				}
+			}
 		}
 	}
 }

@@ -258,6 +258,43 @@ func TestServerMaxTimeoutReturnsIncumbent(t *testing.T) {
 	}
 }
 
+// TestHugeRestartsBoundedByDeadline: a restart count far beyond what
+// memory could hold per run (2⁴⁰) is bounded by the request's time budget.
+// Each best-of algorithm answers 200 with deadline_hit and the runs it
+// completed, within the budget, and the server stays up.
+func TestHugeRestartsBoundedByDeadline(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{MaxTimeout: 3 * time.Second})
+	for _, algo := range []string{"KwikSortMin", "RepeatChoiceMin", "Ailon3/2"} {
+		body := `{"spec":{"algorithm":"` + algo + `","restarts":1099511627776,"timeout_ms":200},` +
+			`"rankings":[[[0],[1],[2]],[[2],[1],[0]],[[1],[0,2]]]}`
+		start := time.Now()
+		resp, data := doJSON(t, http.MethodPost, ts.URL+"/v1/aggregate", json.RawMessage(body))
+		elapsed := time.Since(start)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", algo, resp.StatusCode, data)
+		}
+		var out server.AggregateResponse
+		if err := json.Unmarshal(data, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !out.DeadlineHit {
+			t.Errorf("%s: no deadline_hit after 2^40 restarts in 200ms", algo)
+		}
+		if out.Stats.Restarts <= 0 || int64(out.Stats.Restarts) >= 1<<40 {
+			t.Errorf("%s: stats.restarts = %d, want the runs completed before the deadline", algo, out.Stats.Restarts)
+		}
+		if out.Consensus == nil || out.Consensus.Len() != 3 {
+			t.Errorf("%s: consensus missing or partial: %v", algo, out.Consensus)
+		}
+		if elapsed > time.Second {
+			t.Errorf("%s: answered after %v on a 200ms budget", algo, elapsed)
+		}
+	}
+	if resp, _ := doJSON(t, http.MethodGet, ts.URL+"/healthz", nil); resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz %d after the huge restart counts, want 200", resp.StatusCode)
+	}
+}
+
 func TestClientDisconnectCancelsRun(t *testing.T) {
 	s, ts := newTestServer(t, server.Config{MaxTimeout: time.Minute})
 	body, err := json.Marshal(bnbRequest(t))
