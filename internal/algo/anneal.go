@@ -74,7 +74,7 @@ func (a *Anneal) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts cor
 	seed := a.StartFrom
 	warm := false
 	if seed == nil {
-		if w := opts.WarmStart; w != nil && w.Len() == d.N && w.MaxElement() < d.N {
+		if w := opts.WarmStart; core.IsFullRanking(w, d.N) {
 			// Start the walk from the prior consensus: the anneal then
 			// spends its sweeps exploring around a known-good optimum
 			// instead of climbing out of an arbitrary input ranking.

@@ -17,7 +17,11 @@ func benchDataset(seed int64, m, n int) *rankings.Dataset {
 }
 
 // BenchmarkBioConsertByN tracks the flagship heuristic's growth (the
-// paper's §7.4 warns about its O(n²) memory/time at very large n).
+// paper's §7.4 warns about its O(n²) memory/time at very large n), plus
+// one cold solve at each of the served exact tier's two dataset shapes on
+// a prebuilt matrix: n=200 with m=20 uniform bucket orders, and m=30
+// Markov walks of 200 steps from one seed ranking. Workers 1 keeps the
+// restart pool sequential, so ns/op and allocs/op count one solve's work.
 func BenchmarkBioConsertByN(b *testing.B) {
 	for _, n := range []int{25, 50, 100, 200} {
 		d := benchDataset(1, 7, n)
@@ -25,6 +29,25 @@ func BenchmarkBioConsertByN(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := (&BioConsert{}).Aggregate(d); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	rng := rand.New(rand.NewSource(9))
+	shapes := []struct {
+		name string
+		d    *rankings.Dataset
+	}{
+		{"uniform_n200_m20", gen.UniformDataset(rng, 20, 200)},
+		{"markov_n200_m30", gen.MarkovDataset(rng, gen.UniformRanking(rng, 200), 200, 30, 200)},
+	}
+	for _, s := range shapes {
+		p := kendall.NewPairs(s.d)
+		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := (&BioConsert{Workers: 1}).AggregateWithPairs(s.d, p); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -4,8 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"rankagg/internal/core"
 	"rankagg/internal/kendall"
@@ -79,32 +78,17 @@ func (a *BioConsert) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts
 	warm := false
 	if a.StartFrom != nil {
 		seeds = []*rankings.Ranking{a.StartFrom}
-	} else if w := opts.WarmStart; w != nil && w.Len() == d.N && w.MaxElement() < d.N {
+	} else if w := opts.WarmStart; core.IsFullRanking(w, d.N) {
 		// A warm start replaces the whole restart pool: a prior consensus
 		// is already (near) locally optimal, so one descent from it does
 		// the work the m input-seeded descents would repeat. A warm ranking
-		// that does not cover the universe is ignored (cold policy).
+		// that is not a valid bucket order of the universe is ignored
+		// (cold policy).
 		seeds = []*rankings.Ranking{w}
 		warm = true
 	}
-	// Dedup seeds up front (restarting twice from the same bucket order finds
-	// the same optimum), preserving first-seen order for the index tie-break.
-	uniq := make([]*rankings.Ranking, 0, len(seeds))
-	seen := make(map[string]bool, len(seeds))
-	for _, seed := range seeds {
-		key := seed.Clone().Canonicalize().String()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		uniq = append(uniq, seed)
-	}
-	type result struct {
-		r     *rankings.Ranking
-		score int64
-		moves int64
-	}
-	results := make([]result, len(uniq))
+	// Restarting twice from the same bucket order finds the same optimum.
+	uniq := distinctSeeds(seeds, d.N)
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = a.Workers
@@ -112,69 +96,151 @@ func (a *BioConsert) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > len(uniq) {
-		workers = len(uniq)
-	}
-	if workers <= 1 {
-		poll := newSearchPoll(ctx)
-		for i, seed := range uniq {
-			if poll.stopNow() {
-				break
-			}
-			r, score, moves := localSearchCtx(ctx, p, seed)
-			results[i] = result{r, score, moves}
+	// Each worker owns one search state, reset for every seed it claims,
+	// and keeps only its running best: a (score, seed index) pair plus a
+	// flat copy of that bucket order. A worker claims seeds in increasing
+	// order, so a strictly lower score is the only way a later seed wins.
+	pool := make([]restartWorker, max(min(workers, len(uniq)), 1))
+	runAllCtx(ctx, len(uniq), workers, func(w, i int) {
+		b := &pool[w]
+		if b.st == nil {
+			b.st = newSearchState(p, uniq[i])
+		} else {
+			b.st.reset(uniq[i])
 		}
-	} else {
-		var next int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// Each worker owns its poll (single-goroutine state).
-				poll := newSearchPoll(ctx)
-				for {
-					i := int(atomic.AddInt64(&next, 1)) - 1
-					if i >= len(uniq) || poll.stopNow() {
-						return
-					}
-					r, score, moves := localSearchCtx(ctx, p, uniq[i])
-					results[i] = result{r, score, moves}
-				}
-			}()
+		score := b.st.descend(ctx, p.Score(uniq[i]))
+		if b.done == 0 || score < b.score {
+			b.score, b.seed = score, i
+			b.flat, b.ends = b.st.flatten(b.flat[:0], b.ends[:0])
 		}
-		wg.Wait()
-	}
+		b.done++
+		b.moves += b.st.version - 1
+	})
 	// Deterministic best-of: lowest score, ties broken by lowest seed index
-	// (the order a sequential scan would have kept). Seeds skipped after a
-	// stop have a nil ranking and are passed over.
-	var best result
+	// (the order a sequential scan would have kept).
+	var best *restartWorker
 	restarts := 0
 	var totalMoves int64
-	for _, r := range results {
-		if r.r == nil {
-			continue
-		}
-		restarts++
-		totalMoves += r.moves
-		if best.r == nil || r.score < best.score {
-			best = r
+	for w := range pool {
+		b := &pool[w]
+		restarts += b.done
+		totalMoves += b.moves
+		if b.done > 0 && (best == nil || b.score < best.score || b.score == best.score && b.seed < best.seed) {
+			best = b
 		}
 	}
 	deadlineHit, err := pollOutcome(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if best.r == nil {
+	var consensus *rankings.Ranking
+	if best != nil {
+		consensus = best.ranking()
+	} else {
 		// Deadline expired before any descent ran: fall back to the first
 		// seed unrefined — still a valid consensus candidate.
-		best = result{uniq[0].Clone(), p.Score(uniq[0]), 0}
+		consensus = uniq[0].Clone()
 	}
 	return &core.RunResult{
-		Consensus:   best.r,
+		Consensus:   consensus,
 		DeadlineHit: deadlineHit,
 		Stats:       core.SearchStats{Restarts: restarts, Moves: totalMoves, WarmStart: warm},
 	}, nil
+}
+
+// restartWorker is one restart worker's search state and running best: the
+// lowest score its descents reached, the index of the seed that reached it
+// first, and that local optimum as its members in consensus order (flat)
+// with each bucket's end offset (ends). done and moves count its descents
+// and their applied moves.
+type restartWorker struct {
+	st    *searchState
+	score int64
+	seed  int
+	flat  []int
+	ends  []int
+	done  int
+	moves int64
+}
+
+// ranking turns the flat copy into the consensus: one bucket slice whose
+// buckets are capacity-limited windows of flat.
+func (b *restartWorker) ranking() *rankings.Ranking {
+	r := &rankings.Ranking{Buckets: make([][]int, len(b.ends))}
+	start := 0
+	for i, end := range b.ends {
+		r.Buckets[i] = b.flat[start:end:end]
+		start = end
+	}
+	return r
+}
+
+// distinctSeeds returns seeds without repeats, in first-seen order (the
+// order the best-of's index tie-break follows). Two seeds repeat when they
+// are the same sequence of bucket sets, whatever the member order inside a
+// bucket. A commutative hash of every (element, bucket index) pair screens
+// the candidates and sameBucketOrder confirms a match, so no key is built;
+// the screen costs one word compare per pair of distinct seeds.
+func distinctSeeds(seeds []*rankings.Ranking, n int) []*rankings.Ranking {
+	if len(seeds) < 2 {
+		return seeds
+	}
+	uniq := make([]*rankings.Ranking, 0, len(seeds))
+	keys := make([]uint64, 0, len(seeds))
+	pos := make([]int32, n)
+	for _, s := range seeds {
+		var key uint64
+		for i, b := range s.Buckets {
+			for _, e := range b {
+				key += splitmix64(uint64(e)<<32 | uint64(i))
+			}
+		}
+		dup := false
+		for i, k := range keys {
+			if k == key && sameBucketOrder(uniq[i], s, pos) {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			uniq = append(uniq, s)
+			keys = append(keys, key)
+		}
+	}
+	return uniq
+}
+
+// sameBucketOrder reports whether a and b, two valid rankings over
+// elements below len(pos), hold the same set in every bucket. pos is
+// all-zero scratch and is left all-zero.
+func sameBucketOrder(a, b *rankings.Ranking, pos []int32) bool {
+	if len(a.Buckets) != len(b.Buckets) {
+		return false
+	}
+	for i := range a.Buckets {
+		if len(a.Buckets[i]) != len(b.Buckets[i]) {
+			return false
+		}
+	}
+	for i, bk := range a.Buckets {
+		for _, e := range bk {
+			pos[e] = int32(i) + 1
+		}
+	}
+	same := true
+	for i, bk := range b.Buckets {
+		for _, e := range bk {
+			if pos[e] != int32(i)+1 {
+				same = false
+			}
+		}
+	}
+	for _, bk := range a.Buckets {
+		for _, e := range bk {
+			pos[e] = 0
+		}
+	}
+	return same
 }
 
 // AcceptsWarmStart implements core.WarmStartable: AggregateCtx consumes
@@ -191,22 +257,27 @@ func localSearch(p *kendall.Pairs, seed *rankings.Ranking) (*rankings.Ranking, i
 // localSearchCtx runs BioConsert's descent from the given seed and returns
 // the best state reached, its score, and the number of applied moves. The
 // seed may cover a subset of the universe; only its elements are moved (and
-// scored). The score is maintained incrementally from the move deltas —
-// only the seed is ever scored in full. The descent polls ctx every
-// pollEvery placement scans (each O(n + k)) and returns its current state
-// when the context is done; with an undisturbed context the result is the
-// exact local optimum, identical to the historical non-ctx descent (gap
-// pruning skips scans, not moves — the move sequence is provably unchanged,
-// see improveElement).
+// scored).
 func localSearchCtx(ctx context.Context, p *kendall.Pairs, seed *rankings.Ranking) (*rankings.Ranking, int64, int64) {
 	st := newSearchState(p, seed)
-	score := p.Score(seed)
-	poll := newSearchPoll(ctx)
+	score := st.descend(ctx, p.Score(seed))
+	return st.ranking(), score, st.version - 1
+}
+
+// descend sweeps the state's elements until no element has an improving
+// move and returns the score reached from score, the seed's. The score is
+// maintained incrementally from the move deltas. The descent polls ctx
+// every pollEvery placement scans (each O(n + k)) and stops in its current
+// state when the context is done; with an undisturbed context the result
+// is the exact local optimum (gap pruning skips scans, not moves — the
+// move sequence is provably unchanged, see improveElement).
+func (st *searchState) descend(ctx context.Context, score int64) int64 {
+	poll := searchPoll{ctx: ctx}
 	for improved := true; improved; {
 		improved = false
 		for _, x := range st.elems {
 			if poll.stop() {
-				return st.ranking(), score, st.version - 1
+				return score
 			}
 			if delta := st.improveElement(x); delta < 0 {
 				score += delta
@@ -214,7 +285,7 @@ func localSearchCtx(ctx context.Context, p *kendall.Pairs, seed *rankings.Rankin
 			}
 		}
 	}
-	return st.ranking(), score, st.version - 1
+	return score
 }
 
 // DescentSweeps runs BioConsert's placement-scan descent from seed for at
@@ -267,7 +338,9 @@ func descentSweeps(st *searchState, maxSweeps int) (*rankings.Ranking, int64, in
 // Buckets live in a slab indexed by stable int32 ids: the consensus order
 // is a plain []int32 (shifted with pointer-free memmoves, no GC write
 // barriers), bucketOf maps each element to its bucket id and survives every
-// shift, and dead bucket ids are recycled so moves never allocate.
+// shift, and dead bucket ids are recycled so moves never allocate. One
+// state serves many descents: reset loads the next seed into the buffers
+// the previous descent grew.
 type searchState struct {
 	p        *kendall.Pairs
 	elems    []int
@@ -288,54 +361,114 @@ type searchState struct {
 	// improving move after other elements moved (see improveElement); a
 	// skipped element keeps its lastSeen anchor so the bound keeps decaying.
 	gap []int64
-	// full marks a seed covering the whole universe, the precondition for
-	// the streaming-scatter scan (bucketOf is meaningful for every matrix
-	// column, so a linear pass over the row can scatter by bucket id).
+	// full marks a seed covering the whole universe: bucketOf is then
+	// meaningful for every matrix column, so the scatter streams the row
+	// linearly instead of walking the seed's elements.
 	full bool
+	// packed selects the one-lane sums of bucketSums (see packedLanes),
+	// once per state.
+	packed bool
 	// noPrune disables gap pruning (oracle runs in tests and benchmarks).
 	noPrune bool
 	// legacy routes complete-dataset scans through the BENCH_3-era gather
 	// loop (DescentSweepsGather, the committed benchmark baseline).
 	legacy bool
-	// scratch, reused across placement scans:
+	// scratch of the three-cost scan (scanPlacement) and the legacy gather:
 	tieCost []int64 // per existing bucket: Σ costTied(x, y∈bucket)
 	befCost []int64 // per bucket: Σ costBefore(x, y) — x before the bucket
 	aftCost []int64 // per bucket: Σ costBefore(y, x) — x after the bucket
 	preB    []int64
 	sufA    []int64
-	// scat holds the scatter pass's per-bucket-id state as interleaved
-	// triples — Σ before[x,y] at 3·id, Σ after[x,y] at 3·id+1, and M·|bucket|
-	// at 3·id+2 — so the readout's one random access per bucket lands on a
-	// single cache line carrying everything the candidate fold needs (the
-	// bucket-size term otherwise costs a slice-header chase through the
-	// store). The two sum fields are zero between scans (each readout
-	// re-zeroes what it consumes); the size field is maintained by apply and
-	// is live only while scat is allocated, which only the scatter path does.
-	scat []int64
+	// scat holds the scatter's per-bucket-id sums of x's row, indexed by
+	// bucket id, so the fold's one random access per bucket lands on a
+	// single cache line carrying everything it needs. The sums are zero
+	// between scans (each readout re-zeroes what it consumes); the size
+	// field is maintained by apply and is live only while scat is
+	// allocated, which only the complete-dataset scans do.
+	scat []bucketSums
+}
+
+// bucketSums is one bucket's slot of the scatter scratch: the sums of x's
+// before and after counts over the bucket's members, and M·|bucket|. With
+// packed lanes, sum carries both sums (after in the high 32 bits) and
+// after stays zero; with split lanes, sum is the before sum alone.
+type bucketSums struct {
+	sum   uint64
+	after uint64
+	size  uint64
+}
+
+// add adds one column's before count b and after count a.
+func (s *bucketSums) add(b, a uint64, packed bool) {
+	if packed {
+		s.sum += b | a<<32
+	} else {
+		s.sum += b
+		s.after += a
+	}
+}
+
+// take returns the before sum, the after sum and M·|bucket|, and re-zeroes
+// the sums.
+func (s *bucketSums) take(packed bool) (sb, sa, mc int64) {
+	if packed {
+		sb, sa = int64(uint32(s.sum)), int64(s.sum>>32)
+		s.sum = 0
+	} else {
+		sb, sa = int64(s.sum), int64(s.after)
+		s.sum, s.after = 0, 0
+	}
+	return sb, sa, int64(s.size)
 }
 
 func newSearchState(p *kendall.Pairs, seed *rankings.Ranking) *searchState {
 	st := &searchState{
 		p:        p,
-		elems:    seed.Elements(),
 		bucketOf: make([]int32, p.N),
-		version:  1,
 		lastSeen: make([]int64, p.N),
 		gap:      make([]int64, p.N),
+		packed:   packedLanes(p.Width(), p.N),
 	}
-	st.full = len(st.elems) == p.N
-	st.store = make([][]int, len(seed.Buckets))
-	st.order = make([]int32, len(seed.Buckets))
-	st.idxOf = make([]int32, len(seed.Buckets))
+	st.reset(seed)
+	return st
+}
+
+// packedLanes reports whether a scan over n elements with counts of the
+// given bit width can pack a column's before and after counts into one
+// uint64, after in the high 32 bits. int8 and int16 counts are at most
+// MaxInt16Rankings < 2¹⁵, so while n < 2¹⁷ no bucket sum reaches 2³² and
+// the low lane never carries into the high one. int32 counts keep two
+// lanes.
+func packedLanes(width, n int) bool {
+	return width < 32 && n < 1<<17
+}
+
+// reset loads seed into the state as a fresh descent would find it —
+// bucket i of the seed is bucket id i, nothing seen, no margins — reusing
+// every buffer an earlier descent grew.
+func (st *searchState) reset(seed *rankings.Ranking) {
+	nb := len(seed.Buckets)
+	st.elems = st.elems[:0]
+	st.store = slices.Grow(st.store[:0], nb)[:nb]
+	st.order = slices.Grow(st.order[:0], nb)[:nb]
+	st.idxOf = slices.Grow(st.idxOf[:0], nb)[:nb]
+	st.free = st.free[:0]
 	for i, b := range seed.Buckets {
-		st.store[i] = append([]int(nil), b...)
+		st.elems = append(st.elems, b...)
+		st.store[i] = append(st.store[i][:0], b...)
 		st.order[i] = int32(i)
 		st.idxOf[i] = int32(i)
 		for _, e := range b {
 			st.bucketOf[e] = int32(i)
 		}
 	}
-	return st
+	st.full = len(st.elems) == st.p.N
+	st.version = 1
+	clear(st.lastSeen)
+	clear(st.gap)
+	if st.scat != nil {
+		st.sizeScat()
+	}
 }
 
 // scanPlacement fills the per-bucket cost scratch for x (tieCost, befCost,
@@ -373,28 +506,14 @@ func scanPlacementRows[T kendall.Count](st *searchState, x int, bx, ax, tx []T) 
 		// Complete dataset: before + after + tied = M for every pair, so two
 		// row loads per element suffice — with sb = Σ before[x,y] and
 		// sa = Σ after[x,y] over a bucket of c elements,
-		// tieCost = sb + sa, befCost = M·c − sb, aftCost = M·c − sa.
+		// tieCost = sb + sa, befCost = M·c − sb, aftCost = M·c − sa. The
+		// sums come from the same scatter and readout as the fold.
 		m := int64(st.p.M)
-		if st.full {
-			scatterRow(st, bx, ax)
-			for j, id := range st.order {
-				i3 := 3 * int(id)
-				sb, sa := st.scat[i3], st.scat[i3+1]
-				st.scat[i3], st.scat[i3+1] = 0, 0 // keep the sum fields zero (see scatterRow)
-				mc := st.scat[i3+2]
-				st.tieCost[j], st.befCost[j], st.aftCost[j] = sb+sa, mc-sb, mc-sa
-			}
-		} else {
-			for j, id := range st.order {
-				var sb, sa int64
-				b := st.store[id]
-				for _, y := range b {
-					sb += int64(bx[y])
-					sa += int64(ax[y])
-				}
-				c := int64(len(b))
-				st.tieCost[j], st.befCost[j], st.aftCost[j] = sb+sa, m*c-sb, m*c-sa
-			}
+		scatterSums(st, bx, ax)
+		scat, packed := st.scat, st.packed
+		for j, id := range st.order {
+			sb, sa, mc := scat[id].take(packed)
+			st.tieCost[j], st.befCost[j], st.aftCost[j] = sb+sa, mc-sb, mc-sa
 		}
 		st.befCost[cur] -= m
 		st.aftCost[cur] -= m
@@ -480,163 +599,103 @@ func (st *searchState) improveElement(x int) int64 {
 	return bestDelta
 }
 
-// bestMoveComplete is the fused single-pass placement evaluation for
-// complete datasets. It returns the best strictly-improving move exactly as
-// bestMoveGeneral would (same values, same tie-breaking: lowest candidate
-// value wins, existing buckets in order first, then boundaries in order —
-// matching the historical two-loop scan), plus the margin — the smallest
-// candidate delta over every real alternative, the gap-pruning input. The
-// scan dispatches once on the matrix's storage width (Rows8/16/32) and runs
-// generic over the typed rows; it never needs a tied row, which is exactly
-// why the derived-tied backend can drop that plane without slowing this
-// loop down. Seeds covering the full universe take the streaming-scatter
-// variant; partial seeds fall back to the bucket-gather walk.
+// bestMoveComplete is the placement evaluation for complete datasets. It
+// returns the best strictly-improving move exactly as bestMoveGeneral would
+// (same values, same tie-breaking: lowest candidate value wins, existing
+// buckets in order first, then boundaries in order — matching the
+// historical two-loop scan), plus the margin — the smallest candidate delta
+// over every real alternative, the gap-pruning input. It dispatches once on
+// the matrix's storage width (Rows8/16/32) to scatter x's typed row pair
+// into per-bucket sums, then folds the sums in one walk of the bucket
+// order. It never needs a tied row, which is exactly why the derived-tied
+// backend can drop that plane without slowing this loop down.
 func (st *searchState) bestMoveComplete(x int) (bestDelta int64, cur, bestTie, bestNew int, margin int64) {
 	switch st.p.Width() {
 	case 32:
 		bx, ax, _ := st.p.Rows32(x)
-		if st.full {
-			return bestMoveScatter(st, x, bx, ax)
-		}
 		if st.legacy {
 			return bestMoveLegacyRows(st, x, bx, ax)
 		}
-		return bestMoveCompleteRows(st, x, bx, ax)
+		scatterSums(st, bx, ax)
 	case 16:
 		bx, ax, _ := st.p.Rows16(x)
-		if st.full {
-			return bestMoveScatter(st, x, bx, ax)
-		}
 		if st.legacy {
 			return bestMoveLegacyRows(st, x, bx, ax)
 		}
-		return bestMoveCompleteRows(st, x, bx, ax)
+		scatterSums(st, bx, ax)
 	default:
 		bx, ax, _ := st.p.Rows8(x)
-		if st.full {
-			return bestMoveScatter(st, x, bx, ax)
-		}
 		if st.legacy {
 			return bestMoveLegacyRows(st, x, bx, ax)
 		}
-		return bestMoveCompleteRows(st, x, bx, ax)
+		scatterSums(st, bx, ax)
 	}
+	return st.foldPlacements(x)
 }
 
-// bestMoveScatter is the hot path of the scan engine: one branch-free
-// linear pass over x's row pair (on the tiled backend bx and ax are the two
-// halves of one contiguous 2n-count tile, so the pass streams exactly one
-// tile) scatters the counts into per-bucket-id accumulators, then an O(k)
-// walk of the bucket order folds them into candidate values. No per-bucket
-// branch runs against the O(n) data: x's bucket index is resolved up front
-// and its M·c overcount is fixed with a single add after the fold.
-func bestMoveScatter[T kendall.Count](st *searchState, x int, bx, ax []T) (bestDelta int64, cur, bestTie, bestNew int, margin int64) {
+// foldPlacements is the hot path of the scan engine. It folds the
+// scattered per-bucket sums of x's row into x's best move in one walk of
+// the bucket order, keeping a running (value, first index) minimum per
+// candidate class: tie into bucket j, and new bucket at boundary q. The
+// walk is split around x's own bucket, whose tie value is the current
+// placement rather than a candidate, so its exclusions cost no test per
+// bucket; when x is alone in its bucket, the two boundaries around it
+// re-create the identical ranking and are excluded too, so a lone element
+// can still build a margin (their delta is exactly 0, so the move
+// selection is unchanged). Each sum is re-zeroed as it is read, while its
+// line is hot (see scatterSums).
+//
+// The best candidate is the lower of the two minima, the tie on equal
+// values, so the selection keeps the historical order: lowest value, tie
+// buckets before boundaries, lowest index first. margin is its value minus
+// the current placement's; a negative margin is the applied move's delta,
+// and is reported as margin 0.
+func (st *searchState) foldPlacements(x int) (bestDelta int64, cur, bestTie, bestNew int, margin int64) {
 	m := int64(st.p.M)
 	cur = st.curIndex(x)
-	k := len(st.order)
-	tieVal, newVal := st.ensureCand(k)
-	scatterRow(st, bx, ax)
-	scat := st.scat
+	scat, packed := st.scat, st.packed
+	tieMin, newMin := int64(math.MaxInt64), int64(math.MaxInt64)
+	tieAt, newAt := -1, -1
 	var d int64 // D_j: running Σ (sb − sa)
-	for j, id := range st.order {
-		i3 := 3 * int(id)
-		sb, sa := scat[i3], scat[i3+1]
-		scat[i3], scat[i3+1] = 0, 0 // re-zero while the line is hot (see scatterRow)
-		newVal[j] = d
-		tieVal[j] = d + 2*sb + sa - scat[i3+2] // scat[i3+2] = M·|bucket|
+	for j, id := range st.order[:cur] {
+		sb, sa, mc := scat[id].take(packed)
+		if d < newMin {
+			newMin, newAt = d, j
+		}
+		if v := d + 2*sb + sa - mc; v < tieMin {
+			tieMin, tieAt = v, j
+		}
 		d += sb - sa
 	}
-	newVal[k] = d
-	tieVal[cur] += m // x's own zero diagonal contributes no pair
-	bestDelta, bestTie, bestNew, margin = pickBestFold(tieVal, newVal, cur, scat[3*int(st.order[cur])+2] == m)
-	return bestDelta, cur, bestTie, bestNew, margin
-}
-
-// pickBestFold is pickBest restructured for the scatter path: instead of one
-// branchy walk tracking value, index and margin together, it folds a plain
-// minimum over the candidate arrays in four tight branch-predictable loops
-// (split around the excluded entries — x's own tie value, and the two no-op
-// boundaries when x is a singleton — so the loops carry no per-iteration
-// exclusion test), then rescans for the winning index only when that minimum
-// actually improves on the current placement. The rescan revisits candidates
-// in the historical tie-break order (existing buckets first, then
-// boundaries, first hit wins), so the selected move is identical to
-// pickBest's; the scan-engine property tests pin the two against each other
-// through the scatter/gather equivalence.
-func pickBestFold(tieVal, newVal []int64, cur int, singleton bool) (bestDelta int64, bestTie, bestNew int, margin int64) {
-	minVal := int64(math.MaxInt64)
-	for _, v := range tieVal[:cur] {
-		if v < minVal {
-			minVal = v
-		}
+	sb, sa, mc := scat[st.order[cur]].take(packed)
+	singleton := mc == m
+	if !singleton && d < newMin {
+		newMin, newAt = d, cur
 	}
-	for _, v := range tieVal[cur+1:] {
-		if v < minVal {
-			minVal = v
-		}
+	curVal := d + 2*sb + sa - mc + m // x's own zero diagonal contributes no pair
+	d += sb - sa
+	if !singleton && d < newMin {
+		newMin, newAt = d, cur+1
 	}
-	if singleton {
-		for _, v := range newVal[:cur] {
-			if v < minVal {
-				minVal = v
-			}
+	for j, id := range st.order[cur+1:] {
+		sb, sa, mc := scat[id].take(packed)
+		if v := d + 2*sb + sa - mc; v < tieMin {
+			tieMin, tieAt = v, cur+1+j
 		}
-		for _, v := range newVal[cur+2:] {
-			if v < minVal {
-				minVal = v
-			}
-		}
-	} else {
-		for _, v := range newVal {
-			if v < minVal {
-				minVal = v
-			}
-		}
-	}
-	margin = minVal - tieVal[cur]
-	if margin >= 0 {
-		return 0, -1, -1, margin
-	}
-	for j := range tieVal {
-		if j != cur && tieVal[j] == minVal {
-			return margin, j, -1, 0
-		}
-	}
-	for q := range newVal {
-		if singleton && (q == cur || q == cur+1) {
-			continue
-		}
-		if newVal[q] == minVal {
-			return margin, -1, q, 0
-		}
-	}
-	return margin, -1, -1, 0 // unreachable: the fold's minimum exists in the arrays
-}
-
-// bestMoveCompleteRows is the bucket-gather fallback for seeds covering a
-// subset of the universe (ExactBnB group restrictions): only seed elements
-// are walked, so absent elements never pollute the accumulators.
-func bestMoveCompleteRows[T kendall.Count](st *searchState, x int, bx, ax []T) (bestDelta int64, cur, bestTie, bestNew int, margin int64) {
-	m := int64(st.p.M)
-	cur = st.curIndex(x)
-	k := len(st.order)
-	tieVal, newVal := st.ensureCand(k)
-	var d int64 // D_j: running Σ (sb − sa)
-	for j, id := range st.order {
-		var sb, sa int64
-		b := st.store[id]
-		for _, y := range b {
-			sb += int64(bx[y])
-			sa += int64(ax[y])
-		}
-		newVal[j] = d
-		tieVal[j] = d + 2*sb + sa - m*int64(len(b))
 		d += sb - sa
+		if d < newMin {
+			newMin, newAt = d, cur+2+j
+		}
 	}
-	newVal[k] = d
-	tieVal[cur] += m // x's own zero diagonal contributes no pair
-	bestDelta, bestTie, bestNew, margin = pickBest(tieVal, newVal, cur, len(st.store[st.order[cur]]) == 1)
-	return bestDelta, cur, bestTie, bestNew, margin
+	margin = min(tieMin, newMin) - curVal
+	switch {
+	case margin >= 0:
+		return 0, cur, -1, -1, margin
+	case tieMin <= newMin:
+		return margin, cur, tieAt, -1, 0
+	default:
+		return margin, cur, -1, newAt, 0
+	}
 }
 
 // bestMoveLegacyRows is the complete-dataset scan exactly as the engine ran
@@ -692,80 +751,54 @@ func bestMoveLegacyRows[T kendall.Count](st *searchState, x int, bx, ax []T) (be
 	return bestDelta, cur, bestTie, bestNew, 0
 }
 
-// pickBest selects the best strictly-improving candidate with the
-// historical tie-breaking (lowest value wins, existing buckets in order
-// first, then boundaries in order) and tracks the margin — the minimum
-// candidate delta — for gap pruning. When x sits alone in its bucket the
-// two boundaries around it re-create the identical ranking; those no-op
-// candidates are excluded so a lone element can still build a margin (their
-// delta is exactly 0, so the move selection is unchanged).
-func pickBest(tieVal, newVal []int64, cur int, singleton bool) (bestDelta int64, bestTie, bestNew int, margin int64) {
-	k := len(tieVal)
-	curVal := tieVal[cur]
-	bestTie, bestNew = -1, -1
-	margin = math.MaxInt64
-	for j := 0; j < k; j++ {
-		if j == cur {
-			continue
-		}
-		dd := tieVal[j] - curVal
-		if dd < bestDelta {
-			bestDelta, bestTie, bestNew = dd, j, -1
-		}
-		if dd < margin {
-			margin = dd
-		}
-	}
-	for q := 0; q <= k; q++ {
-		if singleton && (q == cur || q == cur+1) {
-			continue
-		}
-		dd := newVal[q] - curVal
-		if dd < bestDelta {
-			bestDelta, bestTie, bestNew = dd, -1, q
-		}
-		if dd < margin {
-			margin = dd
-		}
-	}
-	if margin < 0 {
-		margin = 0 // a move will be applied; the margin is unused
-	}
-	return bestDelta, bestTie, bestNew, margin
-}
-
-// scatterRow accumulates x's before/after row into the per-bucket-id
-// scratch in one linear, branch-free pass: every column's counts are
-// widened to int64 once and scattered by bucketOf. Valid only for full
-// seeds — bucketOf must be meaningful for every column. The sum fields are
-// kept all-zero between scans: each readout re-zeroes the entries it
-// consumes while their cache lines are hot, so the scatter pass itself
-// never runs a clearing loop (a bucket that dies in apply was zeroed by
-// the scan that selected the move, and a dead id is never scattered into —
-// no bucketOf entry points at it — so recycled ids come back clean).
-func scatterRow[T kendall.Count](st *searchState, bx, ax []T) {
-	if len(st.scat) < 3*len(st.store) {
-		st.growScat()
+// scatterSums adds x's before/after row into the per-bucket-id sums in one
+// pass with no data-dependent branch: a full seed streams the row linearly
+// and scatters by bucketOf; a partial seed (ExactBnB's groups) walks its
+// own elements, so absent elements never reach the sums. The sums are kept
+// all-zero between scans: each readout re-zeroes the entries it consumes
+// while their cache lines are hot, so the scatter itself never runs a
+// clearing loop (a bucket that dies in apply was zeroed by the scan that
+// selected the move, and a dead id is never scattered into — no seed
+// element's bucketOf points at it — so recycled ids come back clean).
+func scatterSums[T kendall.Count](st *searchState, bx, ax []T) {
+	if len(st.scat) < len(st.store) {
+		st.sizeScat()
 	}
 	scat := st.scat
+	if !st.full {
+		for _, y := range st.elems {
+			scat[st.bucketOf[y]].add(uint64(bx[y]), uint64(ax[y]), st.packed)
+		}
+		return
+	}
 	bkt := st.bucketOf[:len(bx)]
 	ax = ax[:len(bx)]
-	for y, bv := range bx {
-		i3 := 3 * int(bkt[y])
-		scat[i3] += int64(bv)
-		scat[i3+1] += int64(ax[y])
+	if st.packed {
+		for y, bv := range bx {
+			scat[bkt[y]].add(uint64(bv), uint64(ax[y]), true)
+		}
+	} else {
+		for y, bv := range bx {
+			scat[bkt[y]].add(uint64(bv), uint64(ax[y]), false)
+		}
 	}
 }
 
-// growScat (re)allocates the scatter scratch at double the bucket-store
-// size (singleton moves mint ids one at a time; doubling keeps the churn
-// amortized) and rebuilds the M·|bucket| size fields from the live store.
-// The sum fields start zero, which is exactly the between-scans invariant.
-func (st *searchState) growScat() {
-	st.scat = make([]int64, 6*len(st.store))
-	m := int64(st.p.M)
+// sizeScat (re)builds the scatter scratch for the live store: all sums
+// zero, which is exactly the between-scans invariant, and the M·|bucket|
+// size fields recomputed. It reallocates, at double the bucket-store size,
+// only when the store outgrew it (singleton moves mint ids one at a time;
+// doubling keeps the churn amortized).
+func (st *searchState) sizeScat() {
+	if need := len(st.store); cap(st.scat) < need {
+		st.scat = make([]bucketSums, 2*need)
+	} else {
+		st.scat = st.scat[:cap(st.scat)]
+		clear(st.scat)
+	}
+	m := uint64(st.p.M)
 	for _, id := range st.order {
-		st.scat[3*int(id)+2] = m * int64(len(st.store[id]))
+		st.scat[id].size = m * uint64(len(st.store[id]))
 	}
 }
 
@@ -801,13 +834,15 @@ func (st *searchState) bestMoveGeneral(x int) (bestDelta int64, cur, bestTie, be
 // tie >= 0) or into a new singleton bucket before boundary newPos (if
 // newPos >= 0). Indices refer to the bucket order BEFORE x is removed.
 // Thanks to the stable bucket ids only x's own bucketOf entry changes, and
-// recycling dead ids keeps moves allocation-free. When the scatter scratch
-// is live (scat non-nil) its M·|bucket| size fields track the membership
-// changes; a bucket emptied here ends with a zero size field and zero sums,
-// so its recycled id re-enters the scratch clean.
+// recycling dead ids — and, past the live store, the member slices an
+// earlier descent left in its backing array — keeps moves allocation-free.
+// When the scatter scratch is live (scat non-nil) its M·|bucket| size
+// fields track the membership changes; a bucket emptied here ends with a
+// zero size field and zero sums, so its recycled id re-enters the scratch
+// clean.
 func (st *searchState) apply(x, cur, tie, newPos int) {
 	st.version++
-	m := int64(st.p.M)
+	m := uint64(st.p.M)
 	id := st.order[cur]
 	b := st.store[id]
 	for i, e := range b {
@@ -819,7 +854,7 @@ func (st *searchState) apply(x, cur, tie, newPos int) {
 		}
 	}
 	if st.scat != nil {
-		st.scat[3*int(id)+2] -= m
+		st.scat[id].size -= m
 	}
 	if len(b) == 0 {
 		st.free = append(st.free, id)
@@ -839,18 +874,22 @@ func (st *searchState) apply(x, cur, tie, newPos int) {
 		st.store[did] = append(st.store[did], x)
 		st.bucketOf[x] = did
 		if st.scat != nil {
-			st.scat[3*int(did)+2] += m
+			st.scat[did].size += m
 		}
 	} else {
 		var nid int32
 		if nf := len(st.free); nf > 0 {
 			nid = st.free[nf-1]
 			st.free = st.free[:nf-1]
-			st.store[nid] = append(st.store[nid][:0], x)
 		} else {
 			nid = int32(len(st.store))
-			st.store = append(st.store, []int{x})
+			if len(st.store) < cap(st.store) {
+				st.store = st.store[:nid+1]
+			} else {
+				st.store = append(st.store, nil)
+			}
 		}
+		st.store[nid] = append(st.store[nid][:0], x)
 		st.order = append(st.order, 0)
 		copy(st.order[newPos+1:], st.order[newPos:])
 		st.order[newPos] = nid
@@ -863,10 +902,10 @@ func (st *searchState) apply(x, cur, tie, newPos int) {
 		st.idxOf[nid] = int32(newPos)
 		st.bucketOf[x] = nid
 		if st.scat != nil {
-			if len(st.scat) < 3*(int(nid)+1) {
-				st.growScat() // rebuilds every size field, the new bucket's included
+			if len(st.scat) <= int(nid) {
+				st.sizeScat() // rebuilds every size field, the new bucket's included
 			} else {
-				st.scat[3*int(nid)+2] = m
+				st.scat[nid].size = m
 			}
 		}
 	}
@@ -890,16 +929,6 @@ func (st *searchState) curIndexWalk(x int) int {
 		}
 	}
 	return -1
-}
-
-// ensureCand returns the k tie-candidate and k+1 boundary-candidate scratch
-// slices, growing the shared scratch only when needed (the fused scan needs
-// just these two, so the other three arrays are left untouched).
-func (st *searchState) ensureCand(k int) (tieVal, newVal []int64) {
-	if cap(st.tieCost) < k {
-		st.ensureScratch(k)
-	}
-	return st.tieCost[:k], st.preB[:k+1]
 }
 
 // ensureCandLegacy reproduces the BENCH_3-era scratch growth — all five
@@ -941,6 +970,16 @@ func (st *searchState) ranking() *rankings.Ranking {
 		out.Buckets[i] = append([]int(nil), st.store[id]...)
 	}
 	return out
+}
+
+// flatten appends the state's members in consensus order to flat and
+// each bucket's end offset in flat to ends.
+func (st *searchState) flatten(flat, ends []int) ([]int, []int) {
+	for _, id := range st.order {
+		flat = append(flat, st.store[id]...)
+		ends = append(ends, len(flat))
+	}
+	return flat, ends
 }
 
 func init() {

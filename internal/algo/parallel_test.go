@@ -3,9 +3,12 @@ package algo
 import (
 	"context"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"rankagg/internal/core"
+	"rankagg/internal/gen"
 	"rankagg/internal/kendall"
 	"rankagg/internal/rankings"
 )
@@ -336,6 +339,105 @@ func TestKwikSortRecursionWorkerInvariance(t *testing.T) {
 			}
 			if !got.Consensus.Equal(base.Consensus) {
 				t.Fatalf("runs=%d workers=%d: consensus differs from sequential run", runs, workers)
+			}
+		}
+	}
+}
+
+// TestRestartPoolAllocs pins a cold n=200 solve at Workers 1 —
+// one search state reset for every seed, bests kept as flat copies — to at
+// most 1,000 allocations on both served exact-tier shapes, and its
+// consensus, member order inside buckets included, to the one that fresh
+// per-seed descents pick: lowest score, first seed on ties.
+func TestRestartPoolAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(93))
+	for _, c := range []struct {
+		name string
+		d    *rankings.Dataset
+	}{
+		{"uniform_m20", gen.UniformDataset(rng, 20, 200)},
+		{"markov_m30", gen.MarkovDataset(rng, gen.UniformRanking(rng, 200), 200, 30, 200)},
+	} {
+		p := kendall.NewPairs(c.d)
+		var got *rankings.Ranking
+		allocs := testing.AllocsPerRun(1, func() {
+			var err error
+			if got, err = (&BioConsert{Workers: 1}).AggregateWithPairs(c.d, p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1000 {
+			t.Errorf("%s: a cold solve made %.0f allocations, want at most 1,000", c.name, allocs)
+		}
+		var want *rankings.Ranking
+		var wantScore int64
+		for _, seed := range c.d.Rankings {
+			r, score, _ := localSearchCtx(context.Background(), p, seed)
+			if want == nil || score < wantScore {
+				want, wantScore = r, score
+			}
+		}
+		if !reflect.DeepEqual(got.Buckets, want.Buckets) {
+			t.Errorf("%s: consensus %v, fresh descents pick %v", c.name, got, want)
+		}
+	}
+}
+
+// TestDistinctSeedsMatchesCanonicalKeys checks the restart pool's seed
+// dedupe against canonical string keys: a seed repeats when an earlier one
+// is the same sequence of bucket sets, whatever the member order. The
+// confirming comparison is checked on its own too, since the hash screen
+// rarely lets a non-repeat through to it.
+func TestDistinctSeedsMatchesCanonicalKeys(t *testing.T) {
+	pos := make([]int32, 4)
+	a := rankings.New([]int{0, 1}, []int{2, 3})
+	for _, c := range []struct {
+		b    *rankings.Ranking
+		want bool
+	}{
+		{rankings.New([]int{1, 0}, []int{3, 2}), true},
+		{rankings.New([]int{2, 3}, []int{0, 1}), false},
+		{rankings.New([]int{0, 2}, []int{1, 3}), false},
+		{rankings.New([]int{0, 1}, []int{2}, []int{3}), false},
+	} {
+		if got := sameBucketOrder(a, c.b, pos); got != c.want {
+			t.Errorf("sameBucketOrder(%v, %v) = %v, want %v", a, c.b, got, c.want)
+		}
+		if slices.ContainsFunc(pos, func(v int32) bool { return v != 0 }) {
+			t.Fatalf("sameBucketOrder left its scratch dirty: %v", pos)
+		}
+	}
+	rng := rand.New(rand.NewSource(94))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(6)
+		var seeds []*rankings.Ranking
+		for i := 0; i < 1+rng.Intn(12); i++ {
+			if len(seeds) > 0 && rng.Intn(3) == 0 {
+				// A repeat with each bucket's members shuffled.
+				r := seeds[rng.Intn(len(seeds))].Clone()
+				for _, b := range r.Buckets {
+					rng.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
+				}
+				seeds = append(seeds, r)
+				continue
+			}
+			seeds = append(seeds, gen.UniformRanking(rng, n))
+		}
+		var want []*rankings.Ranking
+		seen := map[string]bool{}
+		for _, s := range seeds {
+			if key := s.Clone().Canonicalize().String(); !seen[key] {
+				seen[key] = true
+				want = append(want, s)
+			}
+		}
+		got := distinctSeeds(seeds, n)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d distinct seeds, canonical keys find %d in %v", trial, len(got), len(want), seeds)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: distinct seed %d is %v, canonical keys keep %v", trial, i, got[i], want[i])
 			}
 		}
 	}

@@ -1,7 +1,11 @@
 package algo
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"rankagg/internal/gen"
@@ -11,7 +15,8 @@ import (
 
 // dropSome removes each element of r with probability 1/4 (keeping at
 // least two so the descent has something to move), yielding the partial
-// seeds and rankings the gather/general scan paths exist for.
+// seeds and rankings the element-list scatter and the general scan exist
+// for.
 func dropSome(rng *rand.Rand, r *rankings.Ranking) *rankings.Ranking {
 	out := &rankings.Ranking{}
 	for _, b := range r.Buckets {
@@ -66,8 +71,8 @@ func TestScanEngineMatchesOracle(t *testing.T) {
 			}
 			seeds := append([]*rankings.Ranking{}, d.Rankings...)
 			if !partial {
-				// A subset seed on a complete dataset drives the bucket-gather
-				// fallback (the streaming scatter needs a full universe).
+				// A subset seed on a complete dataset scatters over its own
+				// elements (the streaming scatter needs a full universe).
 				seeds = append(seeds, dropSome(rng, d.Rankings[0]))
 			}
 			for si, seed := range seeds {
@@ -98,8 +103,9 @@ func TestScanEngineMatchesOracle(t *testing.T) {
 
 // TestScatterMatchesGather pins the two complete-scan accumulators against
 // each other in lockstep on identical inputs: a state forced off the
-// streaming-scatter fast path (white-box full=false) must select the exact
-// same move as the scatter state at every single improveElement call.
+// streaming scatter (white-box full=false, so it scatters over the seed's
+// element list as a partial seed does) must select the exact same move as
+// the streaming state at every single improveElement call.
 func TestScatterMatchesGather(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	for trial := 0; trial < 20; trial++ {
@@ -174,7 +180,7 @@ func TestCurIndexIncremental(t *testing.T) {
 		p := kendall.NewPairs(d)
 		seed := d.Rankings[rng.Intn(m)]
 		if trial%2 == 1 {
-			// Partial seeds exercise the gather/general paths and their
+			// Partial seeds exercise the element-list scatter and their
 			// singleton-insertion order shifts.
 			seed = dropSome(rng, seed)
 		}
@@ -184,6 +190,147 @@ func TestCurIndexIncremental(t *testing.T) {
 			for _, x := range st.elems {
 				st.improveElement(x)
 				check(t, st, trial, sweep)
+			}
+		}
+	}
+}
+
+// TestScanEngineFoldAtServedShape checks the one-pass fold against the old
+// fold (fold_oracle_test.go) at every scan of full descents on the served
+// exact tier's shapes — n=200 with m=20 uniform bucket orders or m=30
+// Markov walks, where a descent's state holds 180–200 buckets — on every
+// matrix mode and both untiled layouts, from full and partial seeds. int8
+// and int16 counts take packed sums and int32 counts split ones. Two
+// n=40 datasets sit at the int16 limit: 32,767 rankings still pack, and
+// 32,768 make auto mode itself resolve to int32 counts; an all-tied seed
+// there drives bucket sums past 2¹⁶.
+func TestScanEngineFoldAtServedShape(t *testing.T) {
+	rng := rand.New(rand.NewSource(65))
+	uniform := gen.UniformDataset(rng, 20, 200)
+	markov := gen.MarkovDataset(rng, gen.UniformRanking(rng, 200), 200, 30, 200)
+	// Rankings drawn from a pool of 40, so the matrices build fast.
+	pool := gen.UniformDataset(rng, 40, 40)
+	widest := rankings.NewDataset(40)
+	for i := 0; i <= kendall.MaxInt16Rankings; i++ {
+		widest.Rankings = append(widest.Rankings, pool.Rankings[rng.Intn(len(pool.Rankings))])
+	}
+	wide := rankings.NewDataset(40, widest.Rankings[:kendall.MaxInt16Rankings]...)
+	allTied := rankings.New(pool.Rankings[0].Elements())
+	type backend struct {
+		name   string
+		p      *kendall.Pairs
+		packed bool
+	}
+	layouts := func(d *rankings.Dataset) []backend {
+		return []backend{
+			{"auto", kendall.NewPairsMode(d, kendall.ModeAuto), true},
+			{"int32", kendall.NewPairsMode(d, kendall.ModeInt32), false},
+			{"int16", kendall.NewPairsMode(d, kendall.ModeInt16), true},
+			{"int8", kendall.NewPairsMode(d, kendall.ModeInt8), true},
+			{"untiled-int16", kendall.NewPairsUntiled(d, kendall.ModeInt16), true},
+			{"untiled-int8", kendall.NewPairsUntiled(d, kendall.ModeInt8), true},
+		}
+	}
+	cases := []struct {
+		name     string
+		d        *rankings.Dataset
+		backends []backend
+	}{
+		{"uniform", uniform, layouts(uniform)},
+		{"markov", markov, layouts(markov)},
+		{"m32767", wide, []backend{{"auto", kendall.NewPairsMode(wide, kendall.ModeAuto), true}}},
+		{"m32768", widest, []backend{{"auto", kendall.NewPairsMode(widest, kendall.ModeAuto), false}}},
+	}
+	for _, c := range cases {
+		seeds := []*rankings.Ranking{c.d.Rankings[0], c.d.Rankings[1], dropSome(rng, c.d.Rankings[2])}
+		if c.d.N == allTied.Len() {
+			seeds = append(seeds, allTied)
+		}
+		for _, b := range c.backends {
+			for si, seed := range seeds {
+				st := newSearchState(b.p, seed)
+				if st.packed != b.packed {
+					t.Fatalf("%s/%s: packed lanes %v, want %v (width %d)", c.name, b.name, st.packed, b.packed, b.p.Width())
+				}
+				label := fmt.Sprintf("%s/%s seed %d", c.name, b.name, si)
+				scans, moves := foldLockstep(t, st, label)
+				if moves == 0 || scans <= moves {
+					t.Fatalf("%s: %d scans and %d moves, want a descent that moves", label, scans, moves)
+				}
+				t.Logf("%s: %d scans, %d moves, %d buckets at the optimum", label, scans, moves, len(st.order))
+				// The lockstep descent is the production descent.
+				wantR, wantS, wantM := DescentSweeps(b.p, seed, 0, true)
+				if gotR := st.ranking(); !gotR.Equal(wantR) || int64(moves) != wantM || b.p.Score(gotR) != wantS {
+					t.Fatalf("%s: lockstep descent ended at %d moves, DescentSweeps at %d", label, moves, wantM)
+				}
+			}
+		}
+	}
+}
+
+// TestPackedLanesGuard pins the packed-sum guard: int8 and int16 counts
+// pack while n < 2¹⁷, because a bucket sum is then below 2³² and the low
+// lane cannot carry into the high one; int32 counts never pack.
+func TestPackedLanesGuard(t *testing.T) {
+	const limit = 1 << 17
+	if (limit-1)*kendall.MaxInt16Rankings >= 1<<32 {
+		t.Fatalf("a bucket sum at n=%d can reach 2³²", limit-1)
+	}
+	for _, c := range []struct {
+		width, n int
+		want     bool
+	}{
+		{8, 200, true}, {16, limit - 1, true}, {8, limit, false}, {16, limit, false}, {32, 200, false},
+	} {
+		if got := packedLanes(c.width, c.n); got != c.want {
+			t.Errorf("packedLanes(%d, %d) = %v, want %v", c.width, c.n, got, c.want)
+		}
+	}
+}
+
+// TestSearchStateResetMatchesFresh pins the restart pool's state reuse: a
+// state that ran a descent and is reset to the next seed must hold what a
+// fresh state for that seed holds — the same bucket order and members, no
+// element seen, no margins, zero scatter sums with live size fields — and
+// must then descend identically.
+func TestSearchStateResetMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	ctx := context.Background()
+	for trial := 0; trial < 20; trial++ {
+		m, n := 2+rng.Intn(6), 3+rng.Intn(15)
+		d := randomTiedDataset(rng, m, n)
+		for _, mode := range []kendall.MatrixMode{kendall.ModeAuto, kendall.ModeInt32} {
+			p := kendall.NewPairsMode(d, mode)
+			st := newSearchState(p, d.Rankings[0])
+			st.descend(ctx, p.Score(d.Rankings[0]))
+			next := d.Rankings[1]
+			if trial%2 == 1 {
+				next = dropSome(rng, next)
+			}
+			st.reset(next)
+			fresh := newSearchState(p, next)
+			if !slices.Equal(st.elems, fresh.elems) || !slices.Equal(st.order, fresh.order) ||
+				!slices.Equal(st.idxOf, fresh.idxOf) || len(st.free) != 0 || st.version != fresh.version ||
+				st.full != fresh.full || !slices.Equal(st.lastSeen, fresh.lastSeen) || !slices.Equal(st.gap, fresh.gap) {
+				t.Fatalf("trial %d mode %v: reset state differs from a fresh one", trial, mode)
+			}
+			for _, id := range st.order {
+				if !slices.Equal(st.store[id], fresh.store[id]) {
+					t.Fatalf("trial %d mode %v: bucket %d holds %v, fresh %v", trial, mode, id, st.store[id], fresh.store[id])
+				}
+				if want := (bucketSums{size: uint64(p.M) * uint64(len(st.store[id]))}); st.scat[id] != want {
+					t.Fatalf("trial %d mode %v: bucket %d scratch %+v, want %+v", trial, mode, id, st.scat[id], want)
+				}
+			}
+			for _, e := range st.elems {
+				if st.bucketOf[e] != fresh.bucketOf[e] {
+					t.Fatalf("trial %d mode %v: element %d in bucket %d, fresh %d", trial, mode, e, st.bucketOf[e], fresh.bucketOf[e])
+				}
+			}
+			score := p.Score(next)
+			gotS, wantS := st.descend(ctx, score), fresh.descend(ctx, score)
+			if gotR, wantR := st.ranking(), fresh.ranking(); !reflect.DeepEqual(gotR.Buckets, wantR.Buckets) || gotS != wantS || st.version != fresh.version {
+				t.Fatalf("trial %d mode %v: reset descent %v (score %d) vs fresh %v (score %d)", trial, mode, gotR, gotS, wantR, wantS)
 			}
 		}
 	}

@@ -61,3 +61,26 @@ func TestNamesSortedAndNewWorks(t *testing.T) {
 		t.Errorf("New(BioConsert) = %v, %v", a, err)
 	}
 }
+
+// TestIsFullRanking: a full ranking is a valid bucket order of exactly the
+// universe's elements; length and range checks alone let a repeated
+// element stand in for a missing one.
+func TestIsFullRanking(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		w    *rankings.Ranking
+		want bool
+	}{
+		{"valid", rankings.New([]int{1}, []int{0, 3}, []int{2}), true},
+		{"nil", nil, false},
+		{"missing element", rankings.New([]int{1}, []int{0, 3}), false},
+		{"outside the universe", rankings.New([]int{1}, []int{0, 4}, []int{2}), false},
+		{"repeated element", rankings.New([]int{0}, []int{0}, []int{2}, []int{3}), false},
+		{"empty bucket", &rankings.Ranking{Buckets: [][]int{{1}, {}, {0, 3}, {2}}}, false},
+		{"negative element", rankings.New([]int{-1}, []int{1, 3}, []int{2}), false},
+	} {
+		if got := core.IsFullRanking(c.w, 4); got != c.want {
+			t.Errorf("%s: IsFullRanking(%v, 4) = %v, want %v", c.name, c.w, got, c.want)
+		}
+	}
+}

@@ -37,9 +37,19 @@ type RunOptions struct {
 	// consensus instead of the algorithm's cold-start policy (BioConsert's
 	// input-ranking restart pool, Anneal's best-input start). Algorithms
 	// that consume it implement WarmStartable and report the use in
-	// SearchStats.WarmStart; everything else ignores the field. The ranking
-	// must cover the dataset's whole universe or it is ignored.
+	// SearchStats.WarmStart; everything else ignores the field. A ranking
+	// that is not IsFullRanking over the dataset's universe is ignored, and
+	// the algorithm falls back to its cold-start policy.
 	WarmStart *rankings.Ranking
+}
+
+// IsFullRanking reports whether r is a valid bucket order
+// (rankings.Ranking.Validate) of exactly the elements 0..n-1, as a warm
+// start or a persisted consensus over a universe of n elements must be.
+// Anything else — nil, a missing or repeated element, an empty bucket, an
+// element outside the universe — is not.
+func IsFullRanking(r *rankings.Ranking, n int) bool {
+	return r != nil && r.Len() == n && r.MaxElement() < n && r.Validate() == nil
 }
 
 // WorkerBudget resolves the effective worker count: the explicit budget, or

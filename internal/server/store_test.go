@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"maps"
 	"net/http"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"rankagg/internal/rankings"
@@ -428,5 +432,66 @@ func TestCrashBetweenAppendAndRekey(t *testing.T) {
 	}
 	if got.Score != want.Score || !got.Consensus.Equal(want.Consensus) {
 		t.Fatalf("replayed solve diverged from fresh build: %+v vs %+v", got, want)
+	}
+}
+
+// TestInvalidPersistedConsensusDropped restarts a server on a
+// consensus.json holding one entry whose consensus is null and one that
+// names an element outside the dataset. Neither may be served: the store
+// drops both at open, so each aggregate answers 200 from a fresh solve,
+// and the server stays healthy.
+func TestInvalidPersistedConsensusDropped(t *testing.T) {
+	dir := t.TempDir()
+	st1 := openStore(t, dir)
+	_, ts1 := newTestServer(t, server.Config{Store: st1})
+	created, _ := putDataset(t, ts1.URL, smallRequest("BioConsert").DatasetWire)
+	h := created.DatasetHash
+	algos := []string{"BioConsert", "BordaCount"}
+	for _, a := range algos {
+		aggregateHash(t, ts1.URL, h, a)
+	}
+	st1.Close()
+
+	path := filepath.Join(dir, "datasets", h, "consensus.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cf struct {
+		Hash    string                    `json:"hash"`
+		Entries map[string]map[string]any `json:"entries"`
+	}
+	if err := json.Unmarshal(raw, &cf); err != nil {
+		t.Fatal(err)
+	}
+	if len(cf.Entries) != len(algos) {
+		t.Fatalf("consensus.json holds %d entries, want %d", len(cf.Entries), len(algos))
+	}
+	keys := slices.Sorted(maps.Keys(cf.Entries))
+	cf.Entries[keys[0]]["consensus"] = nil
+	cf.Entries[keys[1]]["consensus"] = [][]int{{0}, {1}, {2}, {7}}
+	if raw, err = json.Marshal(cf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openStore(t, dir)
+	s2, ts2 := newTestServer(t, server.Config{Store: st2})
+	for _, a := range algos {
+		out, _ := aggregateHash(t, ts2.URL, h, a)
+		if out.ConsensusHit {
+			t.Errorf("%s: served a dropped persisted consensus: %+v", a, out)
+		}
+		if out.Consensus.Len() != 4 || out.Consensus.Validate() != nil {
+			t.Errorf("%s: consensus %v is not a ranking of the 4 elements", a, out.Consensus)
+		}
+	}
+	if runs := s2.ConsensusStats().Runs; runs != int64(len(algos)) {
+		t.Errorf("restarted server ran %d solves, want %d", runs, len(algos))
+	}
+	if resp, _ := doJSON(t, http.MethodGet, ts2.URL+"/healthz", nil); resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz %d after the aggregates, want 200", resp.StatusCode)
 	}
 }

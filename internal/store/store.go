@@ -59,6 +59,7 @@ import (
 	"time"
 
 	"rankagg"
+	"rankagg/internal/core"
 	"rankagg/internal/rankings"
 )
 
@@ -357,6 +358,17 @@ func (ds *dataset) loadConsensus() error {
 		// A torn consensus write loses cached results, never data.
 		ds.consensus = consensusFile{Hash: ds.curHash}
 		return nil
+	}
+	// An entry or warm hint whose consensus is not a ranking of exactly the
+	// dataset's elements (null, or naming elements the dataset lacks) would
+	// be served on a cache hit or seed a solve: drop it like a torn write.
+	for key, e := range cf.Entries {
+		if e == nil || !core.IsFullRanking(e.Consensus, ds.cur.N) {
+			delete(cf.Entries, key)
+		}
+	}
+	if cf.Warm != nil && !core.IsFullRanking(cf.Warm.Consensus, ds.cur.N) {
+		cf.Warm = nil
 	}
 	if cf.Hash != ds.curHash {
 		cf = consensusFile{Hash: ds.curHash, Warm: bestEntry(cf.Entries)}

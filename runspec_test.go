@@ -172,6 +172,38 @@ func TestWarmStartDeterminism(t *testing.T) {
 	}
 }
 
+// TestWarmStartInvalidRankingIgnored pins the cold policy for a warm
+// ranking that has the universe's length and no element outside it but is
+// not a bucket order of the universe: element 0 appears twice and element
+// 1 is missing. Both warm-startable algorithms must ignore it and solve
+// cold, not return it as the consensus.
+func TestWarmStartInvalidRankingIgnored(t *testing.T) {
+	d := sessionTestDataset(t, 5, 4, 3)
+	ctx := context.Background()
+	s := newTestSession(t, d, WithWorkers(1))
+	bad := &Ranking{Buckets: [][]int{{0}, {0}, {2}, {3}}}
+	for _, name := range []string{"BioConsert", "Anneal"} {
+		cold, err := s.Run(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := s.Run(ctx, name, WithWarmStart(bad))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if warm.Stats.WarmStart {
+			t.Errorf("%s consumed the invalid warm ranking %v", name, bad)
+		}
+		if err := warm.Consensus.Validate(); err != nil || warm.Consensus.Len() != d.N {
+			t.Errorf("%s returned %v, not a bucket order of all %d elements (%v)", name, warm.Consensus, d.N, err)
+		}
+		if !warm.Consensus.Equal(cold.Consensus) || warm.Score != cold.Score {
+			t.Errorf("%s: warm-started run %v (score %d) differs from the cold run %v (score %d)",
+				name, warm.Consensus, warm.Score, cold.Consensus, cold.Score)
+		}
+	}
+}
+
 // TestWarmStartFewerMovesAfterDelta is the PATCH re-solve scenario: after
 // a small dataset mutation, warm-starting from the pre-delta consensus
 // must converge in fewer moves than a cold multi-restart solve while

@@ -147,7 +147,8 @@ func WithTimeLimit(d time.Duration) Option {
 // re-solve after a small dataset delta converges in a fraction of the
 // moves (a one-ranking delta rarely shifts the optimum far). Algorithms
 // without warm-start support (see CanWarmStart) ignore it. The warm
-// ranking must cover the session's whole universe; Result.Stats.WarmStart
+// ranking must be a valid bucket order of the session's whole universe,
+// every element exactly once, or it is ignored; Result.Stats.WarmStart
 // reports whether the search actually consumed it.
 func WithWarmStart(r *Ranking) Option {
 	return func(c *runConfig) { c.warmStart = r }
