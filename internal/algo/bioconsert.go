@@ -247,13 +247,6 @@ func sameBucketOrder(a, b *rankings.Ranking, pos []int32) bool {
 // RunOptions.WarmStart as the restart pool's one seed.
 func (a *BioConsert) AcceptsWarmStart() {}
 
-// localSearch runs BioConsert's descent from the given seed and returns the
-// local optimum and its score.
-func localSearch(p *kendall.Pairs, seed *rankings.Ranking) (*rankings.Ranking, int64) {
-	r, score, _ := localSearchCtx(context.Background(), p, seed)
-	return r, score
-}
-
 // localSearchCtx runs BioConsert's descent from the given seed and returns
 // the best state reached, its score, and the number of applied moves. The
 // seed may cover a subset of the universe; only its elements are moved (and
@@ -269,8 +262,7 @@ func localSearchCtx(ctx context.Context, p *kendall.Pairs, seed *rankings.Rankin
 // maintained incrementally from the move deltas. The descent polls ctx
 // every pollEvery placement scans (each O(n + k)) and stops in its current
 // state when the context is done; with an undisturbed context the result
-// is the exact local optimum (gap pruning skips scans, not moves — the
-// move sequence is provably unchanged, see improveElement).
+// is the exact local optimum.
 func (st *searchState) descend(ctx context.Context, score int64) int64 {
 	poll := searchPoll{ctx: ctx}
 	for improved := true; improved; {
@@ -286,52 +278,6 @@ func (st *searchState) descend(ctx context.Context, score int64) int64 {
 		}
 	}
 	return score
-}
-
-// DescentSweeps runs BioConsert's placement-scan descent from seed for at
-// most maxSweeps full sweeps over the seed's elements (maxSweeps <= 0 means
-// until a local optimum), with gap pruning switched by prune, and returns
-// the reached ranking, its generalized Kemeny score, and the number of
-// applied moves. With prune on and off the three results are identical —
-// pruning only skips provably move-free scans — which is exactly what the
-// scan-engine property tests pin across storage backends. cmd/bench uses
-// the fixed sweep budget to time the scan engine on equal work.
-func DescentSweeps(p *kendall.Pairs, seed *rankings.Ranking, maxSweeps int, prune bool) (*rankings.Ranking, int64, int64) {
-	st := newSearchState(p, seed)
-	st.noPrune = !prune
-	return descentSweeps(st, maxSweeps)
-}
-
-// DescentSweepsGather is DescentSweeps forced onto the BENCH_3-era scan:
-// per-bucket row gathers with the in-loop current-bucket branch and the
-// historical branchy candidate walk, exactly the engine the pre-tiling
-// layout ran (bestMoveLegacyRows keeps that loop verbatim). It selects the
-// exact same moves (the scan-engine property test pins it against the
-// oracle); cmd/bench uses it as the committed-baseline side of the
-// matrix-scan-tiled benchmarks.
-func DescentSweepsGather(p *kendall.Pairs, seed *rankings.Ranking, maxSweeps int, prune bool) (*rankings.Ranking, int64, int64) {
-	st := newSearchState(p, seed)
-	st.noPrune = !prune
-	st.full = false
-	st.legacy = true
-	return descentSweeps(st, maxSweeps)
-}
-
-func descentSweeps(st *searchState, maxSweeps int) (*rankings.Ranking, int64, int64) {
-	score := st.p.Score(st.ranking())
-	for sweep := 0; maxSweeps <= 0 || sweep < maxSweeps; sweep++ {
-		improved := false
-		for _, x := range st.elems {
-			if delta := st.improveElement(x); delta < 0 {
-				score += delta
-				improved = true
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	return st.ranking(), score, st.version - 1
 }
 
 // searchState is the mutable bucket order of a running local search.
@@ -355,12 +301,6 @@ type searchState struct {
 	// untouched — the skip is exact, not heuristic).
 	version  int64
 	lastSeen []int64
-	// gap[x] is the margin recorded at x's last move-free scan: the smallest
-	// candidate-minus-current placement delta over every real alternative.
-	// Together with lastSeen it lower-bounds how close x can be to having an
-	// improving move after other elements moved (see improveElement); a
-	// skipped element keeps its lastSeen anchor so the bound keeps decaying.
-	gap []int64
 	// full marks a seed covering the whole universe: bucketOf is then
 	// meaningful for every matrix column, so the scatter streams the row
 	// linearly instead of walking the seed's elements.
@@ -368,12 +308,7 @@ type searchState struct {
 	// packed selects the one-lane sums of bucketSums (see packedLanes),
 	// once per state.
 	packed bool
-	// noPrune disables gap pruning (oracle runs in tests and benchmarks).
-	noPrune bool
-	// legacy routes complete-dataset scans through the BENCH_3-era gather
-	// loop (DescentSweepsGather, the committed benchmark baseline).
-	legacy bool
-	// scratch of the three-cost scan (scanPlacement) and the legacy gather:
+	// scratch of the three-cost scan (scanPlacement):
 	tieCost []int64 // per existing bucket: Σ costTied(x, y∈bucket)
 	befCost []int64 // per bucket: Σ costBefore(x, y) — x before the bucket
 	aftCost []int64 // per bucket: Σ costBefore(y, x) — x after the bucket
@@ -426,7 +361,6 @@ func newSearchState(p *kendall.Pairs, seed *rankings.Ranking) *searchState {
 		p:        p,
 		bucketOf: make([]int32, p.N),
 		lastSeen: make([]int64, p.N),
-		gap:      make([]int64, p.N),
 		packed:   packedLanes(p.Width(), p.N),
 	}
 	st.reset(seed)
@@ -444,8 +378,8 @@ func packedLanes(width, n int) bool {
 }
 
 // reset loads seed into the state as a fresh descent would find it —
-// bucket i of the seed is bucket id i, nothing seen, no margins — reusing
-// every buffer an earlier descent grew.
+// bucket i of the seed is bucket id i, nothing seen — reusing every buffer
+// an earlier descent grew.
 func (st *searchState) reset(seed *rankings.Ranking) {
 	nb := len(seed.Buckets)
 	st.elems = st.elems[:0]
@@ -465,7 +399,6 @@ func (st *searchState) reset(seed *rankings.Ranking) {
 	st.full = len(st.elems) == st.p.N
 	st.version = 1
 	clear(st.lastSeen)
-	clear(st.gap)
 	if st.scat != nil {
 		st.sizeScat()
 	}
@@ -556,46 +489,27 @@ func scanPlacementRows[T kendall.Count](st *searchState, x int, bx, ax, tx []T) 
 //	tie into bucket j:         D_j + 2·sb_j + sa_j − M·|Bj|
 //
 // so no prefix-sum scratch arrays or backward passes are needed. The
-// general path (partial datasets) keeps the explicit three-cost scan.
-// pruneDecay bounds, per applied move, how far any candidate-vs-current
-// placement delta of an element x can erode. One move shifts one element z
-// between two buckets: each bucket's row sums sb, sa over x's row change by
-// at most m (z contributes at most m per plane), the running prefix D by at
-// most 2m, and the M·c bucket-size term by m — so an existing candidate's
-// delta moves by at most ~12m against the current placement, and a freshly
-// created singleton bucket introduces a tie candidate at most m below the
-// boundary candidate that already existed at its position. 16m rounds the
-// combined worst case up; the scan-engine property tests pin that pruned
-// and unpruned descents stay move-for-move identical.
-const pruneDecay = 16
-
+// general path (partial datasets) keeps the explicit three-cost scan. An
+// element found move-free skips its scan until some move lands (lastSeen).
 func (st *searchState) improveElement(x int) int64 {
 	if st.lastSeen[x] == st.version {
 		return 0 // state untouched since x was last found move-free
 	}
-	if !st.noPrune && st.gap[x] > pruneDecay*int64(st.p.M)*(st.version-st.lastSeen[x]) {
-		// The margin recorded at version lastSeen[x] cannot have fully eroded
-		// yet: x provably still has no improving move, skip its O(n) scan.
-		// lastSeen stays anchored so the bound keeps decaying with staleness.
-		return 0
-	}
-	var bestDelta, margin int64
+	var bestDelta int64
 	var bestTie, bestNew, cur int
 	if st.p.Complete {
-		bestDelta, cur, bestTie, bestNew, margin = st.bestMoveComplete(x)
+		bestDelta, cur, bestTie, bestNew = st.bestMoveComplete(x)
 	} else {
 		bestDelta, cur, bestTie, bestNew = st.bestMoveGeneral(x)
 	}
 	if bestTie < 0 && bestNew < 0 {
 		st.lastSeen[x] = st.version
-		st.gap[x] = margin
 		return 0
 	}
 	st.apply(x, cur, bestTie, bestNew)
 	// x now sits at the cheapest placement the pre-move state offered and
 	// only x's own position changed, so x itself is move-free too.
 	st.lastSeen[x] = st.version
-	st.gap[x] = 0
 	return bestDelta
 }
 
@@ -603,31 +517,21 @@ func (st *searchState) improveElement(x int) int64 {
 // returns the best strictly-improving move exactly as bestMoveGeneral would
 // (same values, same tie-breaking: lowest candidate value wins, existing
 // buckets in order first, then boundaries in order — matching the
-// historical two-loop scan), plus the margin — the smallest candidate delta
-// over every real alternative, the gap-pruning input. It dispatches once on
-// the matrix's storage width (Rows8/16/32) to scatter x's typed row pair
-// into per-bucket sums, then folds the sums in one walk of the bucket
-// order. It never needs a tied row, which is exactly why the derived-tied
-// backend can drop that plane without slowing this loop down.
-func (st *searchState) bestMoveComplete(x int) (bestDelta int64, cur, bestTie, bestNew int, margin int64) {
+// historical two-loop scan). It dispatches once on the matrix's storage
+// width (Rows8/16/32) to scatter x's typed row pair into per-bucket sums,
+// then folds the sums in one walk of the bucket order. It never needs a
+// tied row, which is exactly why the derived-tied backend can drop that
+// plane without slowing this loop down.
+func (st *searchState) bestMoveComplete(x int) (bestDelta int64, cur, bestTie, bestNew int) {
 	switch st.p.Width() {
 	case 32:
 		bx, ax, _ := st.p.Rows32(x)
-		if st.legacy {
-			return bestMoveLegacyRows(st, x, bx, ax)
-		}
 		scatterSums(st, bx, ax)
 	case 16:
 		bx, ax, _ := st.p.Rows16(x)
-		if st.legacy {
-			return bestMoveLegacyRows(st, x, bx, ax)
-		}
 		scatterSums(st, bx, ax)
 	default:
 		bx, ax, _ := st.p.Rows8(x)
-		if st.legacy {
-			return bestMoveLegacyRows(st, x, bx, ax)
-		}
 		scatterSums(st, bx, ax)
 	}
 	return st.foldPlacements(x)
@@ -638,19 +542,17 @@ func (st *searchState) bestMoveComplete(x int) (bestDelta int64, cur, bestTie, b
 // the bucket order, keeping a running (value, first index) minimum per
 // candidate class: tie into bucket j, and new bucket at boundary q. The
 // walk is split around x's own bucket, whose tie value is the current
-// placement rather than a candidate, so its exclusions cost no test per
-// bucket; when x is alone in its bucket, the two boundaries around it
-// re-create the identical ranking and are excluded too, so a lone element
-// can still build a margin (their delta is exactly 0, so the move
-// selection is unchanged). Each sum is re-zeroed as it is read, while its
-// line is hot (see scatterSums).
+// placement rather than a candidate, so its exclusion costs no test per
+// bucket. (When x is alone in its bucket, the two boundaries around it
+// re-create the identical ranking: their value equals the current one, so
+// they never win a strictly improving move.) Each sum is re-zeroed as it
+// is read, while its line is hot (see scatterSums).
 //
 // The best candidate is the lower of the two minima, the tie on equal
 // values, so the selection keeps the historical order: lowest value, tie
-// buckets before boundaries, lowest index first. margin is its value minus
-// the current placement's; a negative margin is the applied move's delta,
-// and is reported as margin 0.
-func (st *searchState) foldPlacements(x int) (bestDelta int64, cur, bestTie, bestNew int, margin int64) {
+// buckets before boundaries, lowest index first. A move is taken only when
+// that value is below the current placement's.
+func (st *searchState) foldPlacements(x int) (bestDelta int64, cur, bestTie, bestNew int) {
 	m := int64(st.p.M)
 	cur = st.curIndex(x)
 	scat, packed := st.scat, st.packed
@@ -668,13 +570,12 @@ func (st *searchState) foldPlacements(x int) (bestDelta int64, cur, bestTie, bes
 		d += sb - sa
 	}
 	sb, sa, mc := scat[st.order[cur]].take(packed)
-	singleton := mc == m
-	if !singleton && d < newMin {
+	if d < newMin {
 		newMin, newAt = d, cur
 	}
 	curVal := d + 2*sb + sa - mc + m // x's own zero diagonal contributes no pair
 	d += sb - sa
-	if !singleton && d < newMin {
+	if d < newMin {
 		newMin, newAt = d, cur+1
 	}
 	for j, id := range st.order[cur+1:] {
@@ -687,68 +588,14 @@ func (st *searchState) foldPlacements(x int) (bestDelta int64, cur, bestTie, bes
 			newMin, newAt = d, cur+2+j
 		}
 	}
-	margin = min(tieMin, newMin) - curVal
-	switch {
-	case margin >= 0:
-		return 0, cur, -1, -1, margin
+	switch delta := min(tieMin, newMin) - curVal; {
+	case delta >= 0:
+		return 0, cur, -1, -1
 	case tieMin <= newMin:
-		return margin, cur, tieAt, -1, 0
+		return delta, cur, tieAt, -1
 	default:
-		return margin, cur, -1, newAt, 0
+		return delta, cur, -1, newAt
 	}
-}
-
-// bestMoveLegacyRows is the complete-dataset scan exactly as the engine ran
-// it before the tiled layout (PR 5's bestMoveCompleteRows, kept verbatim):
-// the per-bucket gather resolves x's bucket with an in-loop id comparison,
-// and the candidate walk carries value, index and tie-break together in one
-// branchy pass. DescentSweepsGather routes here so the matrix-scan-tiled
-// benchmarks measure the tiled engine against the real committed baseline,
-// not a retroactively improved one. It selects the exact same moves as the
-// current paths; margin tracking postdates it, so it reports none and gap
-// pruning never fires on this path.
-func bestMoveLegacyRows[T kendall.Count](st *searchState, x int, bx, ax []T) (bestDelta int64, cur, bestTie, bestNew int, margin int64) {
-	m := int64(st.p.M)
-	mine := st.bucketOf[x]
-	cur = -1
-
-	k := len(st.order)
-	tieVal, newVal := st.ensureCandLegacy(k)
-	var d int64 // D_j: running Σ (sb − sa)
-	for j, id := range st.order {
-		var sb, sa int64
-		b := st.store[id]
-		for _, y := range b {
-			sb += int64(bx[y])
-			sa += int64(ax[y])
-		}
-		c := int64(len(b))
-		if id == mine {
-			cur = j
-			c-- // x's own zero diagonal contributes no pair
-		}
-		newVal[j] = d
-		tieVal[j] = d + 2*sb + sa - m*c
-		d += sb - sa
-	}
-	newVal[k] = d
-
-	curVal := tieVal[cur]
-	bestDelta, bestTie, bestNew = 0, -1, -1
-	for j := 0; j < k; j++ {
-		if j == cur {
-			continue
-		}
-		if dd := tieVal[j] - curVal; dd < bestDelta {
-			bestDelta, bestTie, bestNew = dd, j, -1
-		}
-	}
-	for q := 0; q <= k; q++ {
-		if dd := newVal[q] - curVal; dd < bestDelta {
-			bestDelta, bestTie, bestNew = dd, -1, q
-		}
-	}
-	return bestDelta, cur, bestTie, bestNew, 0
 }
 
 // scatterSums adds x's before/after row into the per-bucket-id sums in one
@@ -805,9 +652,9 @@ func (st *searchState) sizeScat() {
 // bestMoveGeneral evaluates placements via the explicit three-cost scan and
 // prefix sums. Every registered aggregator rejects incomplete datasets
 // (core.CheckInput), so in production p.Complete always holds and this path
-// is defensive: it is reachable only by calling localSearch directly on a
-// matrix built from an incomplete dataset, which the oracle test does to
-// pin both paths to the same move selection.
+// is defensive: it is reachable only by a descent on a matrix built from an
+// incomplete dataset, which the oracle tests run to pin both paths to the
+// same move selection.
 func (st *searchState) bestMoveGeneral(x int) (bestDelta int64, cur, bestTie, bestNew int) {
 	cur = st.scanPlacement(x)
 	k := len(st.order)
@@ -917,33 +764,6 @@ func (st *searchState) apply(x, cur, tie, newPos int) {
 // O(shift) cost instead of adding an O(k) walk per lookup).
 func (st *searchState) curIndex(x int) int {
 	return int(st.idxOf[st.bucketOf[x]])
-}
-
-// curIndexWalk is the pre-idxOf O(k) order walk, kept as the oracle the
-// incremental index is tested against (see scan_engine_test.go).
-func (st *searchState) curIndexWalk(x int) int {
-	mine := st.bucketOf[x]
-	for j, id := range st.order {
-		if id == mine {
-			return j
-		}
-	}
-	return -1
-}
-
-// ensureCandLegacy reproduces the BENCH_3-era scratch growth — all five
-// arrays reallocated at exactly the high-water k, no doubling — so the
-// benchmark baseline keeps the reallocation churn the old engine actually
-// paid as singleton moves grew the bucket count.
-func (st *searchState) ensureCandLegacy(k int) (tieVal, newVal []int64) {
-	if cap(st.tieCost) < k {
-		st.tieCost = make([]int64, k)
-		st.befCost = make([]int64, k)
-		st.aftCost = make([]int64, k)
-		st.preB = make([]int64, k+1)
-		st.sufA = make([]int64, k+1)
-	}
-	return st.tieCost[:k], st.preB[:k+1]
 }
 
 func (st *searchState) ensureScratch(k int) {

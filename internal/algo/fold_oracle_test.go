@@ -59,19 +59,19 @@ func (st *oracleState) bestMove(x int) foldResult {
 func oracleRows[T kendall.Count](st *oracleState, x int, bx, ax []T) foldResult {
 	var r foldResult
 	if st.full {
-		r.delta, r.cur, r.tie, r.new, r.margin = bestMoveScatter(st, x, bx, ax)
+		r.delta, r.cur, r.tie, r.new, _ = bestMoveScatter(st, x, bx, ax)
 	} else {
-		r.delta, r.cur, r.tie, r.new, r.margin = bestMoveCompleteRows(st, x, bx, ax)
+		r.delta, r.cur, r.tie, r.new, _ = bestMoveCompleteRows(st, x, bx, ax)
 	}
 	return r
 }
 
 // foldResult is one placement scan's outcome: the move's delta, x's bucket
-// index, the tie target or the new-bucket boundary, and the margin.
+// index, and the tie target or the new-bucket boundary. The old fold's
+// margin fed a pruning rule that no longer exists, so it is not compared.
 type foldResult struct {
 	delta         int64
 	cur, tie, new int
-	margin        int64
 }
 
 // foldLockstep descends st to a local optimum through improveElement, and
@@ -88,7 +88,7 @@ func foldLockstep(t *testing.T, st *searchState, label string) (scans, moves int
 		for _, x := range st.elems {
 			want := o.bestMove(x)
 			var got foldResult
-			got.delta, got.cur, got.tie, got.new, got.margin = st.bestMoveComplete(x)
+			got.delta, got.cur, got.tie, got.new = st.bestMoveComplete(x)
 			if got != want {
 				t.Fatalf("%s: element %d at version %d (%d buckets): fold %+v, old fold %+v", label, x, st.version, len(st.order), got, want)
 			}

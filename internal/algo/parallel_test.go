@@ -118,6 +118,13 @@ func TestSharedPairsConcurrentReaders(t *testing.T) {
 	}
 }
 
+// localSearch runs BioConsert's descent from the given seed and returns the
+// local optimum and its score.
+func localSearch(p *kendall.Pairs, seed *rankings.Ranking) (*rankings.Ranking, int64) {
+	r, score, _ := localSearchCtx(context.Background(), p, seed)
+	return r, score
+}
+
 // oracleLocalSearch is the seed's descent (per-element full rescan, no
 // fused pass, no skip), kept as an independent oracle for the optimized
 // localSearch: identical move selection ⇒ identical local optimum.

@@ -37,14 +37,37 @@ func dropSome(rng *rand.Rand, r *rankings.Ranking) *rankings.Ranking {
 	return out
 }
 
+// DescentSweeps runs BioConsert's placement-scan descent from seed for at
+// most maxSweeps full sweeps over the seed's elements (maxSweeps <= 0 means
+// until a local optimum) and returns the reached ranking, its generalized
+// Kemeny score, and the number of applied moves — the fingerprint the
+// scan-engine property tests compare across storage backends.
+func DescentSweeps(p *kendall.Pairs, seed *rankings.Ranking, maxSweeps int) (*rankings.Ranking, int64, int64) {
+	st := newSearchState(p, seed)
+	score := p.Score(st.ranking())
+	for sweep := 0; maxSweeps <= 0 || sweep < maxSweeps; sweep++ {
+		improved := false
+		for _, x := range st.elems {
+			if delta := st.improveElement(x); delta < 0 {
+				score += delta
+				improved = true
+			}
+		}
+		if !improved {
+			break
+		}
+	}
+	return st.ranking(), score, st.version - 1
+}
+
 // TestScanEngineMatchesOracle is the scan-engine equivalence property: the
-// tiled int8/int16 backends, the planar untiled layout, and gap pruning
-// must all drive the placement-scan descent move-for-move identically to
-// the unpruned int32 oracle — same final ranking, same score, same number
-// of applied moves — from every input seed, on complete and partial
-// datasets alike. The applied-move count is the descent's full trajectory
-// fingerprint: two descents that ever disagree on one move selection
-// cannot keep ranking, score and move count all aligned across seeds.
+// tiled int8/int16 backends and the planar untiled layout must all drive
+// the placement-scan descent move-for-move identically to the int32
+// oracle — same final ranking, same score, same number of applied moves —
+// from every input seed, on complete and partial datasets alike. The
+// applied-move count is the descent's full trajectory fingerprint: two
+// descents that ever disagree on one move selection cannot keep ranking,
+// score and move count all aligned across seeds.
 func TestScanEngineMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 10; trial++ {
@@ -67,7 +90,6 @@ func TestScanEngineMatchesOracle(t *testing.T) {
 				{"int16", kendall.NewPairsMode(d, kendall.ModeInt16)},
 				{"int8", kendall.NewPairsMode(d, kendall.ModeInt8)},
 				{"untiled-int16", kendall.NewPairsUntiled(d, kendall.ModeInt16)},
-				{"int32", oracle}, // pruned-vs-unpruned on the oracle itself
 			}
 			seeds := append([]*rankings.Ranking{}, d.Rankings...)
 			if !partial {
@@ -76,24 +98,15 @@ func TestScanEngineMatchesOracle(t *testing.T) {
 				seeds = append(seeds, dropSome(rng, d.Rankings[0]))
 			}
 			for si, seed := range seeds {
-				wantR, wantS, wantM := DescentSweeps(oracle, seed, 0, false)
+				wantR, wantS, wantM := DescentSweeps(oracle, seed, 0)
 				if got := oracle.Score(wantR); got != wantS {
 					t.Fatalf("trial %d seed %d: oracle descent score %d, rescore %d", trial, si, wantS, got)
 				}
 				for _, b := range backends {
-					for _, prune := range []bool{false, true} {
-						gotR, gotS, gotM := DescentSweeps(b.p, seed, 0, prune)
-						if !gotR.Equal(wantR) || gotS != wantS || gotM != wantM {
-							t.Fatalf("trial %d (m=%d n=%d partial=%v) seed %d backend %s prune=%v:\n got %v score %d moves %d\nwant %v score %d moves %d",
-								trial, m, n, partial, si, b.name, prune, gotR, gotS, gotM, wantR, wantS, wantM)
-						}
-						// The legacy gather (the benchmark's baseline engine)
-						// must walk the identical move sequence too.
-						gotR, gotS, gotM = DescentSweepsGather(b.p, seed, 0, prune)
-						if !gotR.Equal(wantR) || gotS != wantS || gotM != wantM {
-							t.Fatalf("trial %d (m=%d n=%d partial=%v) seed %d backend %s prune=%v legacy gather:\n got %v score %d moves %d\nwant %v score %d moves %d",
-								trial, m, n, partial, si, b.name, prune, gotR, gotS, gotM, wantR, wantS, wantM)
-						}
+					gotR, gotS, gotM := DescentSweeps(b.p, seed, 0)
+					if !gotR.Equal(wantR) || gotS != wantS || gotM != wantM {
+						t.Fatalf("trial %d (m=%d n=%d partial=%v) seed %d backend %s:\n got %v score %d moves %d\nwant %v score %d moves %d",
+							trial, m, n, partial, si, b.name, gotR, gotS, gotM, wantR, wantS, wantM)
 					}
 				}
 			}
@@ -143,15 +156,27 @@ func TestDescentSweepsBudget(t *testing.T) {
 	d := randomTiedDataset(rng, 5, 12)
 	p := kendall.NewPairs(d)
 	seed := d.Rankings[0]
-	_, _, moves1 := DescentSweeps(p, seed, 1, true)
+	_, _, moves1 := DescentSweeps(p, seed, 1)
 	if moves1 > int64(seed.Len()) {
 		t.Fatalf("one sweep applied %d moves over %d elements", moves1, seed.Len())
 	}
-	full, score, _ := DescentSweeps(p, seed, 0, true)
+	full, score, _ := DescentSweeps(p, seed, 0)
 	lsR, lsScore := localSearch(p, seed)
 	if score != lsScore || !full.Equal(lsR) {
 		t.Fatalf("unbounded DescentSweeps (score %d) diverges from localSearch (score %d)", score, lsScore)
 	}
+}
+
+// curIndexWalk is the pre-idxOf O(k) order walk, kept as the oracle the
+// incremental index is tested against.
+func (st *searchState) curIndexWalk(x int) int {
+	mine := st.bucketOf[x]
+	for j, id := range st.order {
+		if id == mine {
+			return j
+		}
+	}
+	return -1
 }
 
 // TestCurIndexIncremental pins the incrementally maintained bucket-position
@@ -259,7 +284,7 @@ func TestScanEngineFoldAtServedShape(t *testing.T) {
 				}
 				t.Logf("%s: %d scans, %d moves, %d buckets at the optimum", label, scans, moves, len(st.order))
 				// The lockstep descent is the production descent.
-				wantR, wantS, wantM := DescentSweeps(b.p, seed, 0, true)
+				wantR, wantS, wantM := DescentSweeps(b.p, seed, 0)
 				if gotR := st.ranking(); !gotR.Equal(wantR) || int64(moves) != wantM || b.p.Score(gotR) != wantS {
 					t.Fatalf("%s: lockstep descent ended at %d moves, DescentSweeps at %d", label, moves, wantM)
 				}
@@ -291,7 +316,7 @@ func TestPackedLanesGuard(t *testing.T) {
 // TestSearchStateResetMatchesFresh pins the restart pool's state reuse: a
 // state that ran a descent and is reset to the next seed must hold what a
 // fresh state for that seed holds — the same bucket order and members, no
-// element seen, no margins, zero scatter sums with live size fields — and
+// element seen, zero scatter sums with live size fields — and
 // must then descend identically.
 func TestSearchStateResetMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
@@ -311,7 +336,7 @@ func TestSearchStateResetMatchesFresh(t *testing.T) {
 			fresh := newSearchState(p, next)
 			if !slices.Equal(st.elems, fresh.elems) || !slices.Equal(st.order, fresh.order) ||
 				!slices.Equal(st.idxOf, fresh.idxOf) || len(st.free) != 0 || st.version != fresh.version ||
-				st.full != fresh.full || !slices.Equal(st.lastSeen, fresh.lastSeen) || !slices.Equal(st.gap, fresh.gap) {
+				st.full != fresh.full || !slices.Equal(st.lastSeen, fresh.lastSeen) {
 				t.Fatalf("trial %d mode %v: reset state differs from a fresh one", trial, mode)
 			}
 			for _, id := range st.order {

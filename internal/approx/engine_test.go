@@ -12,6 +12,77 @@ import (
 	"rankagg/internal/rankings"
 )
 
+// AggregateFullUniverse is the pre-truncation reference implementation:
+// every ranking — complete or not — pays a dense O(n log n) Fenwick pass
+// and the median sorts all m coordinates per element, sequentially on one
+// core. It is kept as the oracle the truncated, parallel, incremental
+// engine is pinned against.
+func AggregateFullUniverse(d *rankings.Dataset) (*rankings.Ranking, error) {
+	if err := CheckInput(d); err != nil {
+		return nil, err
+	}
+	n, m := d.N, d.M()
+	// codes[e*m+j] is ranking j's coordinate for element e (column-major by
+	// element, so the per-element median reads one contiguous run).
+	codes := make([]int32, n*m)
+	f := newFenwick(n)
+	col := make([]int32, n)
+	for j, r := range d.Rankings {
+		codeRanking(r, n, f, col)
+		for e, c := range col {
+			codes[e*m+j] = c
+		}
+	}
+	med := make([]int32, n)
+	tmp := make([]int32, m)
+	for e := 0; e < n; e++ {
+		copy(tmp, codes[e*m:(e+1)*m])
+		slices.Sort(tmp)
+		// Lower median: any order statistic of values in [0, e] stays in
+		// [0, e], so the vector remains a valid Lehmer code.
+		med[e] = tmp[(m-1)/2]
+	}
+	return rankings.FromPermutation(decode(med, f)), nil
+}
+
+// scoreFullUniverse is the pre-truncation batch accumulation — every
+// ranking pays an O(n) absent-element sweep — kept as the oracle the
+// ScoreState decomposition is pinned against in tests.
+func scoreFullUniverse(d *rankings.Dataset, optimistic bool) (*rankings.Ranking, error) {
+	if err := CheckInput(d); err != nil {
+		return nil, err
+	}
+	n := d.N
+	total := make([]int64, n)
+	seen := make([]bool, n)
+	for _, r := range d.Rankings {
+		for i := range seen {
+			seen[i] = false
+		}
+		p := 1
+		for _, b := range r.Buckets {
+			dr := int64(2*p + len(b) - 1)
+			for _, e := range b {
+				total[e] += dr
+				seen[e] = true
+			}
+			p += len(b)
+		}
+		if l := p - 1; l < n {
+			absent := int64(n + l + 1)
+			if optimistic {
+				absent = int64(2 * (l + 1))
+			}
+			for e, ok := range seen {
+				if !ok {
+					total[e] += absent
+				}
+			}
+		}
+	}
+	return scoreBuckets(total), nil
+}
+
 // truncate keeps the best keep elements of r (whole buckets, splitting the
 // boundary bucket), producing the top-k regime the compact encoder exists
 // for.
@@ -102,9 +173,27 @@ func TestCompactEncodeMatchesOracle(t *testing.T) {
 
 // TestBuildLehmerMatchesFullUniverse pins the assembled state — compact
 // encodes, shared-backing multisets, implicit-zero median — to the dense
-// sequential reference on every noise model.
+// sequential reference on every noise model, and on the top-k lists of the
+// root ApproxSession tests (same seeds and shapes: 9 lists over 40 elements
+// with lengths 8–16, 40 over 30 with lengths 10–20), which compare against
+// a cold Lehmer run.
 func TestBuildLehmerMatchesFullUniverse(t *testing.T) {
-	for name, d := range noisyDatasets(t) {
+	sets := noisyDatasets(t)
+	for name, c := range map[string]struct {
+		seed             int64
+		m, n, minL, maxL int
+	}{
+		"session-toplists-9x40":  {301, 9, 40, 8, 16},
+		"session-toplists-40x30": {304, 40, 30, 10, 20},
+	} {
+		rng := rand.New(rand.NewSource(c.seed))
+		top := gen.MallowsDataset(rng, c.m, c.n, 0.3).Rankings
+		for i, r := range top {
+			top[i] = truncate(r, c.minL+rng.Intn(c.maxL-c.minL+1))
+		}
+		sets[name] = rankings.NewDataset(c.n, top...)
+	}
+	for name, d := range sets {
 		want, err := AggregateFullUniverse(d)
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", name, err)

@@ -2,7 +2,6 @@ package approx
 
 import (
 	"context"
-	"slices"
 
 	"rankagg/internal/core"
 	"rankagg/internal/rankings"
@@ -62,40 +61,6 @@ func (Lehmer) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts core.R
 		return nil, err
 	}
 	return &core.RunResult{Consensus: st.Consensus()}, nil
-}
-
-// AggregateFullUniverse is the pre-truncation reference implementation:
-// every ranking — complete or not — pays a dense O(n log n) Fenwick pass
-// and the median sorts all m coordinates per element, sequentially on one
-// core. It is kept as the oracle the truncated, parallel, incremental
-// engine is pinned against (tests and cmd/bench), and as the honest
-// "before" side of the approx benchmarks.
-func AggregateFullUniverse(d *rankings.Dataset) (*rankings.Ranking, error) {
-	if err := CheckInput(d); err != nil {
-		return nil, err
-	}
-	n, m := d.N, d.M()
-	// codes[e*m+j] is ranking j's coordinate for element e (column-major by
-	// element, so the per-element median reads one contiguous run).
-	codes := make([]int32, n*m)
-	f := newFenwick(n)
-	col := make([]int32, n)
-	for j, r := range d.Rankings {
-		codeRanking(r, n, f, col)
-		for e, c := range col {
-			codes[e*m+j] = c
-		}
-	}
-	med := make([]int32, n)
-	tmp := make([]int32, m)
-	for e := 0; e < n; e++ {
-		copy(tmp, codes[e*m:(e+1)*m])
-		slices.Sort(tmp)
-		// Lower median: any order statistic of values in [0, e] stays in
-		// [0, e], so the vector remains a valid Lehmer code.
-		med[e] = tmp[(m-1)/2]
-	}
-	return rankings.FromPermutation(decode(med, f)), nil
 }
 
 // codeRanking writes the ties-aware Lehmer code of r over a universe of n

@@ -74,44 +74,6 @@ func (s ScoreRank) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts c
 	return &core.RunResult{Consensus: st.Consensus()}, nil
 }
 
-// scoreFullUniverse is the pre-truncation batch accumulation — every
-// ranking pays an O(n) absent-element sweep — kept as the oracle the
-// ScoreState decomposition is pinned against in tests.
-func scoreFullUniverse(d *rankings.Dataset, optimistic bool) (*rankings.Ranking, error) {
-	if err := CheckInput(d); err != nil {
-		return nil, err
-	}
-	n := d.N
-	total := make([]int64, n)
-	seen := make([]bool, n)
-	for _, r := range d.Rankings {
-		for i := range seen {
-			seen[i] = false
-		}
-		p := 1
-		for _, b := range r.Buckets {
-			dr := int64(2*p + len(b) - 1)
-			for _, e := range b {
-				total[e] += dr
-				seen[e] = true
-			}
-			p += len(b)
-		}
-		if l := p - 1; l < n {
-			absent := int64(n + l + 1)
-			if optimistic {
-				absent = int64(2 * (l + 1))
-			}
-			for e, ok := range seen {
-				if !ok {
-					total[e] += absent
-				}
-			}
-		}
-	}
-	return scoreBuckets(total), nil
-}
-
 // scoreBuckets orders elements by ascending total, tying exact equals.
 // Element ID breaks ordering (not bucket) ties for determinism — equal
 // sums still land in one shared bucket.

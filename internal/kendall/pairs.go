@@ -105,9 +105,9 @@ func NewPairsMode(d *rankings.Dataset, mode MatrixMode) *Pairs {
 // NewPairsUntiled builds the mode's layout with row-pair tiling forced
 // off: on complete datasets that is the planar derived layout (two
 // separate n² planes) the compact backends used before tiling existed.
-// It is retained as the baseline cmd/bench measures the tiled scan engine
-// against and as a conversion-source fixture for Compact tests; library
-// code should always use NewPairs/NewPairsMode.
+// Tests use it to check the scan engine on the planar layout and as a
+// conversion source for Compact; library code should always use
+// NewPairs/NewPairsMode.
 func NewPairsUntiled(d *rankings.Dataset, mode MatrixMode) *Pairs {
 	p := newPairsShell(d, mode)
 	p.rep.tiled = false
@@ -116,59 +116,9 @@ func NewPairsUntiled(d *rankings.Dataset, mode MatrixMode) *Pairs {
 	return p
 }
 
-// NewPairsLegacy is the seed's construction — branchy position compares
-// over all n² element pairs per ranking, single-threaded, always the full
-// three-plane int32 layout. It is retained verbatim as the baseline
-// cmd/bench measures the engine against (the BENCH_*.json trajectory);
-// library code should always use NewPairs.
-func NewPairsLegacy(d *rankings.Dataset) *Pairs {
-	n := d.N
-	p := &Pairs{
-		N:          n,
-		M:          len(d.Rankings),
-		Complete:   d.Complete(),
-		incomplete: countIncomplete(d),
-		mode:       ModeInt32,
-		rep:        repr{width: 4},
-		b32:        make([]int32, n*n),
-		a32:        make([]int32, n*n),
-		t32:        make([]int32, n*n),
-	}
-	for _, r := range d.Rankings {
-		pos := r.Positions(n)
-		for a := 0; a < n; a++ {
-			if pos[a] == 0 {
-				continue
-			}
-			for b := a + 1; b < n; b++ {
-				if pos[b] == 0 {
-					continue
-				}
-				switch {
-				case pos[a] < pos[b]:
-					p.b32[a*n+b]++
-				case pos[a] > pos[b]:
-					p.b32[b*n+a]++
-				default:
-					p.t32[a*n+b]++
-					p.t32[b*n+a]++
-				}
-			}
-		}
-	}
-	transposeStride(p.a32, n, 0, p.b32, n, n)
-	return p
-}
-
 // maxExtraAccBytes bounds the memory spent on per-worker accumulators; the
 // worker count is lowered to fit (down to a sequential build).
 const maxExtraAccBytes = 1 << 30
-
-// newPairsWorkers is NewPairs with an explicit worker count (0 = NumCPU,
-// 1 = sequential); tests use it to check parallel/sequential equality.
-func newPairsWorkers(d *rankings.Dataset, workers int) *Pairs {
-	return newPairsWorkersMode(d, workers, ModeAuto)
-}
 
 // newPairsWorkersMode allocates the representation the mode resolves to
 // for this dataset and runs the sharded bucket-run accumulation into it.

@@ -121,8 +121,8 @@ func TestCompactAfterPartialRoundtrip(t *testing.T) {
 }
 
 // TestCompactUntiled pins that the planar derived layout (the pre-tiling
-// compact backend, still constructible via NewPairsUntiled for the bench
-// baseline) re-tiles under Compact without changing bytes or content.
+// compact backend, still constructible via NewPairsUntiled) re-tiles under
+// Compact without changing bytes or content.
 func TestCompactUntiled(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	d := randomDataset(rng, 6, 17, false)

@@ -8,29 +8,53 @@ import (
 )
 
 // ParseRanking parses the paper's bracket notation, e.g. "[{A},{B,C}]".
-// Element names are resolved (and created) in the universe. Whitespace is
-// ignored. Buckets may also be separated with ">" and tied elements with "="
-// in the alternative compact notation "A > B=C".
+// Buckets may also be separated with ">" and tied elements with "=" in the
+// alternative compact notation "A > B=C". Whitespace around names is
+// ignored. A name may not hold ',', '}' or a line break, so Universe.Format
+// writes every parsed ranking back as one line that parses to the same
+// buckets. Names are resolved (and created) in the universe only once the
+// whole string has parsed, so a rejected string adds no names.
 func ParseRanking(s string, u *Universe) (*Ranking, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return nil, fmt.Errorf("rankings: empty ranking string")
 	}
+	var buckets [][]string
+	var err error
 	if strings.HasPrefix(s, "[") {
-		return parseBracket(s, u)
+		buckets, err = parseBracket(s)
+	} else {
+		buckets, err = parseCompact(s)
 	}
-	return parseCompact(s, u)
+	if err != nil {
+		return nil, err
+	}
+	seen := make(map[string]bool)
+	for _, b := range buckets {
+		for _, name := range b {
+			if seen[name] {
+				return nil, fmt.Errorf("rankings: element %q appears more than once", name)
+			}
+			seen[name] = true
+		}
+	}
+	r := &Ranking{}
+	for _, b := range buckets {
+		ids := make([]int, len(b))
+		for i, name := range b {
+			ids[i] = u.ID(name)
+		}
+		r.Buckets = append(r.Buckets, ids)
+	}
+	return r, nil
 }
 
-func parseBracket(s string, u *Universe) (*Ranking, error) {
+func parseBracket(s string) ([][]string, error) {
 	if !strings.HasSuffix(s, "]") {
 		return nil, fmt.Errorf("rankings: missing closing ']' in %q", s)
 	}
 	body := strings.TrimSpace(s[1 : len(s)-1])
-	r := &Ranking{}
-	if body == "" {
-		return r, nil
-	}
+	var buckets [][]string
 	for body != "" {
 		if body[0] != '{' {
 			return nil, fmt.Errorf("rankings: expected '{' at %q", body)
@@ -39,53 +63,43 @@ func parseBracket(s string, u *Universe) (*Ranking, error) {
 		if end < 0 {
 			return nil, fmt.Errorf("rankings: missing closing '}' in %q", body)
 		}
-		bucket, err := parseBucket(body[1:end], u)
+		bucket, err := parseBucket(body[1:end], ",")
 		if err != nil {
 			return nil, err
 		}
-		r.Buckets = append(r.Buckets, bucket)
+		buckets = append(buckets, bucket)
 		body = strings.TrimSpace(body[end+1:])
 		body = strings.TrimPrefix(body, ",")
 		body = strings.TrimSpace(body)
 	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return buckets, nil
 }
 
-func parseCompact(s string, u *Universe) (*Ranking, error) {
-	r := &Ranking{}
+func parseCompact(s string) ([][]string, error) {
+	var buckets [][]string
 	for _, part := range strings.Split(s, ">") {
-		bucket, err := parseBucketSep(part, "=", u)
+		bucket, err := parseBucket(part, "=")
 		if err != nil {
 			return nil, err
 		}
-		r.Buckets = append(r.Buckets, bucket)
+		buckets = append(buckets, bucket)
 	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return buckets, nil
 }
 
-func parseBucket(s string, u *Universe) ([]int, error) {
-	return parseBucketSep(s, ",", u)
-}
-
-func parseBucketSep(s, sep string, u *Universe) ([]int, error) {
-	var bucket []int
-	for _, name := range strings.Split(s, sep) {
+func parseBucket(s, sep string) ([]string, error) {
+	names := strings.Split(s, sep)
+	for i, name := range names {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			return nil, fmt.Errorf("rankings: empty element name in bucket %q", s)
 		}
-		bucket = append(bucket, u.ID(name))
+		if strings.ContainsAny(name, ",}\n\r") {
+			return nil, fmt.Errorf("rankings: element name %q holds ',', '}' or a line break", name)
+		}
+		names[i] = name
 	}
-	if len(bucket) == 0 {
-		return nil, fmt.Errorf("rankings: empty bucket in %q", s)
-	}
-	return bucket, nil
+	return names, nil
 }
 
 // ParseDataset reads one ranking per non-empty line from r. Lines starting

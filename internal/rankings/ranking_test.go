@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -214,13 +215,71 @@ func TestParseCompact(t *testing.T) {
 	}
 }
 
+// TestParseErrors also pins that a rejected string adds no names, so it
+// leaves no phantom elements to inflate a later dataset's N. "A,B > C" and
+// "A}x > B" hold names Format cannot write back: accepted, the first was
+// written as [{A,B},{C}] and read back as three elements, and the second
+// was written as a line ReadDataset rejects.
 func TestParseErrors(t *testing.T) {
-	for _, s := range []string{"", "[{A}", "[A}]", "[{}]", "[{A},{A}]", "A>>B"} {
+	for _, s := range []string{"", "[{A}", "[A}]", "[{}]", "[{A},{A}]", "A>>B",
+		"A,B > C", "A}x > B", "A > B\nC", "[{A\rB}]", "A > B >", "[{A},{B},{}]", "[{A},{B}x]", "A > A"} {
 		u := NewUniverse()
 		if _, err := ParseRanking(s, u); err == nil {
 			t.Errorf("ParseRanking(%q) succeeded, want error", s)
 		}
+		if u.Size() != 0 {
+			t.Errorf("rejected %q left %q in the universe", s, u.Names())
+		}
 	}
+}
+
+// bucketNames returns r's buckets as names from u, each bucket sorted (the
+// order Universe.Format writes).
+func bucketNames(r *Ranking, u *Universe) [][]string {
+	out := make([][]string, len(r.Buckets))
+	for i, b := range r.Buckets {
+		for _, e := range b {
+			out[i] = append(out[i], u.Name(e))
+		}
+		slices.Sort(out[i])
+	}
+	return out
+}
+
+// FuzzParseRanking fuzzes the bucket-text parser. The seed corpus
+// (testdata/fuzz/FuzzParseRanking) holds the paper's three §2.2 rankings
+// in both notations and strings with names Format cannot write back. The
+// parse must not panic; an accepted ranking is valid and Universe.Format
+// writes it as one line that parses back to the same names in every
+// bucket; a rejected string adds no names to a universe that already holds
+// one.
+func FuzzParseRanking(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		u := NewUniverse()
+		u.ID("Z")
+		r, err := ParseRanking(s, u)
+		if err != nil {
+			if u.Size() != 1 {
+				t.Fatalf("ParseRanking(%q) failed (%v) but grew the universe to %q", s, err, u.Names())
+			}
+			return
+		}
+		if err := r.Validate(); err != nil {
+			t.Fatalf("ParseRanking(%q) accepted an invalid ranking %v: %v", s, r.Buckets, err)
+		}
+		text := u.Format(r)
+		if strings.ContainsAny(text, "\n\r") {
+			t.Fatalf("ParseRanking(%q): Format wrote %q, more than one line", s, text)
+		}
+		u2 := NewUniverse()
+		back, err := ParseRanking(text, u2)
+		if err != nil {
+			t.Fatalf("ParseRanking(%q): Format wrote %q, which does not parse: %v", s, text, err)
+		}
+		if got, want := bucketNames(back, u2), bucketNames(r, u); !slices.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("ParseRanking(%q): Format wrote %q, which parses to %q, want %q", s, text, got, want)
+		}
+	})
 }
 
 func TestParseDatasetRoundTrip(t *testing.T) {

@@ -2,7 +2,10 @@ package rankagg
 
 import (
 	"context"
+	"math/rand"
 	"testing"
+
+	"rankagg/internal/gen"
 )
 
 func specKeyOf(t *testing.T, sp RunSpec) string {
@@ -209,47 +212,60 @@ func TestWarmStartInvalidRankingIgnored(t *testing.T) {
 // must converge in fewer moves than a cold multi-restart solve while
 // matching its final score.
 func TestWarmStartFewerMovesAfterDelta(t *testing.T) {
-	// Deterministic fixture (fixed dataset seed, one worker) on which the
+	// Deterministic fixtures (fixed dataset seeds, one worker) on which the
 	// warm solve matches the cold score exactly. Warm starts trade the
 	// multi-seed restart pool for one near-optimal seed, so score equality
 	// is data-dependent in general; the moves reduction is the mechanism
 	// and holds whenever the delta leaves the old consensus near-optimal.
-	d := sessionTestDataset(t, 8, 30, 2)
+	// The Markov walks are the paper's high-similarity regime, where every
+	// restart drains to the same optimum; the added voter walks as far
+	// from the same center.
+	rng := rand.New(rand.NewSource(7))
+	center := gen.UniformRanking(rng, 60)
+	walker := gen.NewWalker(center, 60)
+	walker.Walk(rng, 60)
 	ctx := context.Background()
 	spec := RunSpec{Algorithm: "BioConsert"}
+	for _, c := range []struct {
+		name  string
+		d     *Dataset
+		extra *Ranking
+	}{
+		{"uniform", sessionTestDataset(t, 8, 30, 2), sessionTestDataset(t, 1, 30, 102).Rankings[0]},
+		{"markov", gen.MarkovDataset(rng, center, 60, 12, 60), walker.Ranking()},
+	} {
+		s := newTestSession(t, c.d, WithWorkers(1))
+		before, err := s.RunSpec(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddRanking(c.extra); err != nil {
+			t.Fatal(err)
+		}
 
-	s := newTestSession(t, d, WithWorkers(1))
-	before, err := s.RunSpec(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	extra := sessionTestDataset(t, 1, 30, 102).Rankings[0]
-	if err := s.AddRanking(extra); err != nil {
-		t.Fatal(err)
-	}
-
-	cold, err := s.RunSpec(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := s.RunSpec(ctx, spec, WithWarmStart(before.Consensus))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Score > cold.Score {
-		t.Errorf("warm start landed on a worse consensus: %d vs cold %d", warm.Score, cold.Score)
-	}
-	if warm.Stats.Moves >= cold.Stats.Moves {
-		t.Errorf("warm start applied %d moves, cold %d: expected strictly fewer (one seed, near-optimal start)",
-			warm.Stats.Moves, cold.Stats.Moves)
-	}
-	// An ignorer of warm starts must not claim one.
-	borda, err := s.RunSpec(ctx, RunSpec{Algorithm: "BordaCount"}, WithWarmStart(before.Consensus))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if borda.Stats.WarmStart {
-		t.Error("BordaCount reported warm_start but cannot consume one")
+		cold, err := s.RunSpec(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := s.RunSpec(ctx, spec, WithWarmStart(before.Consensus))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Score > cold.Score {
+			t.Errorf("%s: warm start landed on a worse consensus: %d vs cold %d", c.name, warm.Score, cold.Score)
+		}
+		if warm.Stats.Moves >= cold.Stats.Moves {
+			t.Errorf("%s: warm start applied %d moves, cold %d: expected strictly fewer (one seed, near-optimal start)",
+				c.name, warm.Stats.Moves, cold.Stats.Moves)
+		}
+		// An ignorer of warm starts must not claim one.
+		borda, err := s.RunSpec(ctx, RunSpec{Algorithm: "BordaCount"}, WithWarmStart(before.Consensus))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if borda.Stats.WarmStart {
+			t.Errorf("%s: BordaCount reported warm_start but cannot consume one", c.name)
+		}
 	}
 	if CanWarmStart("BordaCount") || !CanWarmStart("BioConsert") || !CanWarmStart("Anneal") {
 		t.Error("CanWarmStart misreports the warm-startable set")
