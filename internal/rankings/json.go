@@ -87,18 +87,24 @@ func (r *Ranking) UnmarshalJSON(data []byte) error {
 		err = (&Ranking{Buckets: buckets}).Validate()
 	}
 	if err != nil {
-		return fmt.Errorf("rankings: invalid ranking in JSON: %w", err)
+		return invalidRanking(err)
 	}
 	r.Buckets = buckets
 	return nil
 }
 
-// rankingDecoder is UnmarshalJSON's scanner: off is the next unread byte,
-// flat the backing array every bucket is a window of.
+func invalidRanking(err error) error {
+	return fmt.Errorf("rankings: invalid ranking in JSON: %w", err)
+}
+
+// rankingDecoder is UnmarshalJSON's scanner, and DocReader's: off is the
+// next unread byte, flat the backing array every bucket is a window of and
+// list the one every bucket list is a window of.
 type rankingDecoder struct {
 	data []byte
 	off  int
 	flat []int
+	list [][]int
 }
 
 // ranking decodes the whole input: one null or bucket array, with nothing
@@ -109,17 +115,29 @@ func (d *rankingDecoder) ranking() ([][]int, error) {
 		if err := d.null(); err != nil {
 			return nil, err
 		}
-		return nil, d.end()
+		return nil, d.end("after the bucket array")
 	case '[':
-		d.off++
 	default:
 		return nil, d.syntaxError("looking for a bucket array")
 	}
 	d.flat = make([]int, 0, bytes.Count(d.data, []byte{','})+1)
-	buckets := make([][]int, 0, bytes.Count(d.data, []byte{'['})-1)
+	d.list = make([][]int, 0, bytes.Count(d.data, []byte{'['})-1)
+	buckets, err := d.buckets()
+	if err != nil {
+		return nil, err
+	}
+	return buckets, d.end("after the bucket array")
+}
+
+// buckets decodes the bucket array at the cursor, which is its opening
+// bracket. Each bucket is appended to list, and the ranking's buckets are
+// the part of list it appended.
+func (d *rankingDecoder) buckets() ([][]int, error) {
+	d.off++
+	list, start := d.list, len(d.list)
 	if d.skipSpace() == ']' {
 		d.off++
-		return buckets, d.end()
+		return list[start:], nil
 	}
 	for {
 		var b []int
@@ -137,13 +155,14 @@ func (d *rankingDecoder) ranking() ([][]int, error) {
 		default:
 			return nil, d.syntaxError("looking for a bucket")
 		}
-		buckets = append(buckets, b)
+		list = append(list, b)
 		switch d.skipSpace() {
 		case ',':
 			d.off++
 		case ']':
 			d.off++
-			return buckets, d.end()
+			d.list = list
+			return list[start:], nil
 		default:
 			return nil, d.syntaxError("after a bucket")
 		}
@@ -230,11 +249,14 @@ func (d *rankingDecoder) integer() (int, error) {
 }
 
 // null consumes the literal null.
-func (d *rankingDecoder) null() error {
-	if !bytes.HasPrefix(d.data[d.off:], []byte("null")) {
+func (d *rankingDecoder) null() error { return d.literal("null") }
+
+// literal consumes the literal lit.
+func (d *rankingDecoder) literal(lit string) error {
+	if !bytes.HasPrefix(d.data[d.off:], []byte(lit)) {
 		return d.syntaxError("in a literal")
 	}
-	d.off += len("null")
+	d.off += len(lit)
 	return nil
 }
 
@@ -255,9 +277,9 @@ func (d *rankingDecoder) skipSpace() byte {
 }
 
 // end checks that only whitespace follows the decoded value.
-func (d *rankingDecoder) end() error {
+func (d *rankingDecoder) end(where string) error {
 	if d.skipSpace(); d.off < len(d.data) {
-		return d.syntaxError("after the bucket array")
+		return d.syntaxError(where)
 	}
 	return nil
 }

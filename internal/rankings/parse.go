@@ -94,12 +94,22 @@ func parseBucket(s, sep string) ([]string, error) {
 		if name == "" {
 			return nil, fmt.Errorf("rankings: empty element name in bucket %q", s)
 		}
-		if strings.ContainsAny(name, ",}\n\r") {
-			return nil, fmt.Errorf("rankings: element name %q holds ',', '}' or a line break", name)
+		if err := checkName(name); err != nil {
+			return nil, err
 		}
 		names[i] = name
 	}
 	return names, nil
+}
+
+// checkName rejects an element name the bracket notation cannot write
+// back: Universe.Format would put a ',', '}' or line break in it where
+// ParseRanking splits a bucket, ends one or ends the line.
+func checkName(name string) error {
+	if strings.ContainsAny(name, ",}\n\r") {
+		return fmt.Errorf("rankings: element name %q holds ',', '}' or a line break", name)
+	}
+	return nil
 }
 
 // ParseDataset reads one ranking per non-empty line from r. Lines starting

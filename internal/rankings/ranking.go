@@ -149,20 +149,28 @@ func (r *Ranking) MaxElement() int {
 // elements and allocates O(L) bytes whatever its largest ID: a ranking of
 // two elements may name element 1<<62.
 func (r *Ranking) Validate() error {
-	n, maxE := 0, -1
-	for i, b := range r.Buckets {
+	_, err := validate(r.Buckets)
+	return err
+}
+
+// validate is Validate on a bucket list; it also returns the largest
+// element (-1 for an empty ranking), which it finds on the way.
+func validate(buckets [][]int) (maxE int, err error) {
+	n := 0
+	maxE = -1
+	for i, b := range buckets {
 		if len(b) == 0 {
-			return fmt.Errorf("rankings: bucket %d is empty", i)
+			return -1, fmt.Errorf("rankings: bucket %d is empty", i)
 		}
 		for _, e := range b {
 			if e < 0 {
-				return fmt.Errorf("rankings: negative element ID %d in bucket %d", e, i)
+				return -1, fmt.Errorf("rankings: negative element ID %d in bucket %d", e, i)
 			}
 			maxE = max(maxE, e)
 		}
 		n += len(b)
 	}
-	return checkDistinct(r.Buckets, n, maxE)
+	return maxE, checkDistinct(buckets, n, maxE)
 }
 
 // bitmapFactor bounds checkDistinct's bitmap: it is used while the largest

@@ -104,7 +104,8 @@ func ReadScoreRecords(r io.Reader) ([]ScoreRecord, error) {
 
 // DatasetFromScores groups score records by source and builds the dataset.
 // Sources appear in first-seen order; duplicate (source, item) pairs keep
-// the last score.
+// the last score. An item name must be one ParseRanking accepts, so the
+// bracket notation writes every ranking back with the same buckets.
 func DatasetFromScores(recs []ScoreRecord, eps float64) (*Dataset, *Universe, error) {
 	u := NewUniverse()
 	bySource := map[string]map[int]float64{}
@@ -112,6 +113,9 @@ func DatasetFromScores(recs []ScoreRecord, eps float64) (*Dataset, *Universe, er
 	for _, rec := range recs {
 		if rec.Source == "" || rec.Item == "" {
 			return nil, nil, fmt.Errorf("rankings: empty source or item name")
+		}
+		if err := checkName(rec.Item); err != nil {
+			return nil, nil, err
 		}
 		m, ok := bySource[rec.Source]
 		if !ok {

@@ -75,6 +75,20 @@ func TestParseScoreCSVErrors(t *testing.T) {
 	}
 }
 
+// TestParseScoreCSVRejectsUnwritableNames: an item name holding ',', '}'
+// or a line break is rejected with ParseRanking's check. Accepted, the
+// first one made the CLI print [{A,B},{C}], which reads back as three
+// elements.
+func TestParseScoreCSVRejectsUnwritableNames(t *testing.T) {
+	for _, name := range []string{`"A,B"`, `A}B`, "\"A\nB\"", "\"A\rB\""} {
+		csv := "s1," + name + ",2\ns1,C,1\ns2," + name + ",2\ns2,C,1\n"
+		_, _, err := ParseScoreCSV(strings.NewReader(csv), 0)
+		if err == nil || !strings.Contains(err.Error(), "line break") {
+			t.Errorf("ParseScoreCSV with item %s: err = %v, want the bracket-notation name error", name, err)
+		}
+	}
+}
+
 func TestDatasetFromScoresDuplicateKeepsLast(t *testing.T) {
 	recs := []ScoreRecord{
 		{"s", "a", 1},

@@ -99,11 +99,19 @@ func (s *Server) handlePutDatasets(w http.ResponseWriter, r *http.Request) {
 	// Ephemeral create of an incomplete dataset: only the approx tier can
 	// hold it — its delta-maintainable session is the cache entry, weighed
 	// by its O(n + Σ L_i) state, admitted above instead of by the matrix
-	// check.
+	// check. Each ephemeral branch builds its session first (the
+	// constructor validates the dataset) and keys the entry by the
+	// session's own hash, which the session then keeps: the first by-hash
+	// aggregate finds it instead of hashing the dataset again.
 	if !d.Complete() {
-		hash := d.Hash()
+		sess, err := rankagg.NewApproxSession(d)
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		hash := sess.Hash()
 		_, hit, err := s.approx.GetOrBuild(hash, func() (*rankagg.ApproxSession, error) {
-			return rankagg.NewApproxSession(d)
+			return sess, nil
 		})
 		if err != nil {
 			s.writeError(w, http.StatusBadRequest, err.Error())
@@ -129,12 +137,13 @@ func (s *Server) handlePutDatasets(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	hash := d.Hash()
+	sess, err := rankagg.NewSession(d, rankagg.WithMatrixMode(s.matrixMode))
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	hash := sess.Hash()
 	_, hit, err := s.cache.GetOrBuild(hash, func() (*rankagg.Session, error) {
-		sess, err := rankagg.NewSession(d, rankagg.WithMatrixMode(s.matrixMode))
-		if err != nil {
-			return nil, err
-		}
 		sess.Pairs()
 		s.metrics.matrixBytes.Store(sess.MatrixBytes())
 		return sess, nil

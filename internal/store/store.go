@@ -59,7 +59,6 @@ import (
 	"time"
 
 	"rankagg"
-	"rankagg/internal/core"
 	"rankagg/internal/rankings"
 )
 
@@ -254,14 +253,11 @@ func (s *Store) openDataset(dir string) (*dataset, error) {
 		}
 		return nil, err
 	}
-	var snap snapshotWire
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return nil, fmt.Errorf("parsing %s: %w", snapshotFile, err)
+	snap, err := readSnapshot(raw)
+	if err != nil {
+		return nil, err
 	}
 	base := &rankings.Dataset{N: snap.N, Rankings: snap.Rankings}
-	if err := base.Validate(); err != nil {
-		return nil, fmt.Errorf("invalid snapshot: %w", err)
-	}
 	ds := &dataset{
 		dir:         dir,
 		base:        base,
@@ -288,8 +284,8 @@ func (s *Store) openDataset(dir string) (*dataset, error) {
 	}
 	tombstoned := false
 	for i, payload := range payloads {
-		var rec logRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		rec, err := readLogRecord(payload)
+		if err != nil {
 			return nil, fmt.Errorf("parsing log record: %w", err)
 		}
 		if rec.Seq <= ds.baseSeq {
@@ -353,22 +349,11 @@ func (ds *dataset) loadConsensus() error {
 	if err != nil {
 		return err
 	}
-	var cf consensusFile
-	if err := json.Unmarshal(raw, &cf); err != nil {
+	cf, err := readConsensus(raw, ds.cur.N)
+	if err != nil {
 		// A torn consensus write loses cached results, never data.
 		ds.consensus = consensusFile{Hash: ds.curHash}
 		return nil
-	}
-	// An entry or warm hint whose consensus is not a ranking of exactly the
-	// dataset's elements (null, or naming elements the dataset lacks) would
-	// be served on a cache hit or seed a solve: drop it like a torn write.
-	for key, e := range cf.Entries {
-		if e == nil || !core.IsFullRanking(e.Consensus, ds.cur.N) {
-			delete(cf.Entries, key)
-		}
-	}
-	if cf.Warm != nil && !core.IsFullRanking(cf.Warm.Consensus, ds.cur.N) {
-		cf.Warm = nil
 	}
 	if cf.Hash != ds.curHash {
 		cf = consensusFile{Hash: ds.curHash, Warm: bestEntry(cf.Entries)}
