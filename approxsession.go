@@ -10,6 +10,7 @@ import (
 	"rankagg/internal/approx"
 	"rankagg/internal/core"
 	"rankagg/internal/kendall"
+	"rankagg/internal/rankings"
 )
 
 // ApproxSession is the approximation tier's counterpart to Session: the
@@ -160,10 +161,11 @@ func (s *ApproxSession) RemoveRanking(r *Ranking) error {
 	return s.ApplyDelta(nil, []*Ranking{r})
 }
 
-// ApplyDelta mutates the session's dataset atomically: every ranking of
-// remove is matched (by Ranking.Equal, each dataset ranking consumed at
-// most once) and dropped, then every ranking of add is appended, in order.
-// Validation happens up front — on any error nothing is changed.
+// ApplyDelta mutates the session's dataset atomically under the shared
+// delta rule (rankings.ApplyDelta): every ranking of remove is matched (by
+// Ranking.Equal, each dataset ranking consumed at most once) and dropped,
+// then every ranking of add is appended, in order. Validation happens up
+// front — on any error nothing is changed.
 //
 // Instead of Session's O(n²)-per-ranking matrix delta, each ranking here is
 // an O(L·(log L + log m)) update of the built states: a multiset
@@ -180,54 +182,16 @@ func (s *ApproxSession) ApplyDelta(add, remove []*Ranking) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	complete := s.d.Complete()
-	for _, r := range add {
-		if r == nil {
-			return fmt.Errorf("rankagg: nil ranking in delta")
-		}
-		if err := r.Validate(); err != nil {
-			return err
-		}
-		if r.Len() == 0 {
-			return fmt.Errorf("rankagg: empty ranking in delta")
-		}
-		if r.MaxElement() >= s.d.N {
-			return fmt.Errorf("rankagg: added ranking %s exceeds the session universe of %d elements", r, s.d.N)
-		}
-		if complete && r.Len() != s.d.N {
-			return fmt.Errorf("rankagg: added ranking %s must cover the complete dataset's universe of %d elements (partial adds apply only to toplists datasets)",
-				r, s.d.N)
-		}
-	}
-	dropped := make([]bool, len(s.d.Rankings))
-	for _, r := range remove {
-		if r == nil {
-			return fmt.Errorf("rankagg: nil ranking in delta")
-		}
-		found := -1
-		for i, have := range s.d.Rankings {
-			if !dropped[i] && have.Equal(r) {
-				found = i
-				break
-			}
-		}
-		if found < 0 {
-			return fmt.Errorf("%w: %s", ErrRankingNotFound, r)
-		}
-		dropped[found] = true
-	}
-	if len(s.d.Rankings)-len(remove)+len(add) == 0 {
-		return ErrDatasetEmptied
+	next, removed, err := rankings.ApplyDelta(s.d, add, remove)
+	if err != nil {
+		return err
 	}
 
 	// Validation passed — mutate. Removals unfold the dataset's own matched
 	// ranking (bucket-order equal to the request, so the same code and
 	// score); a Lehmer state that reports divergence is dropped and rebuilt
 	// by the next Run rather than trusted.
-	for i, have := range s.d.Rankings {
-		if !dropped[i] {
-			continue
-		}
+	for _, have := range removed {
 		if s.lehmer != nil {
 			if err := s.lehmer.Remove(have); err != nil {
 				s.lehmer = nil
@@ -252,14 +216,7 @@ func (s *ApproxSession) ApplyDelta(add, remove []*Ranking) error {
 		}
 	}
 
-	rks := make([]*Ranking, 0, len(s.d.Rankings)-len(remove)+len(add))
-	for i, r := range s.d.Rankings {
-		if !dropped[i] {
-			rks = append(rks, r)
-		}
-	}
-	rks = append(rks, add...)
-	s.d = &Dataset{N: s.d.N, Rankings: rks}
+	s.d = next
 	s.deltas++
 	s.version += uint64(len(add) + len(remove))
 	s.hash = ""

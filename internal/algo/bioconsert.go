@@ -406,62 +406,26 @@ func (st *searchState) reset(seed *rankings.Ranking) {
 
 // scanPlacement fills the per-bucket cost scratch for x (tieCost, befCost,
 // aftCost and the preB/sufA prefix sums) and returns the index of x's
-// current bucket, in O(n + k). All pair costs are read from row-contiguous
-// typed matrix rows (Rows8/Rows16/Rows32 — the scan dispatches once on the
-// storage width and runs a generic, monomorphized inner loop); the
-// diagonal is zero, so x's own entry contributes nothing and needs no
-// branch.
+// current bucket, in O(n + k). The dataset is complete (core.CheckInput),
+// so before + after + tied = M for every pair and two row loads per
+// element suffice: with sb = Σ before[x,y] and sa = Σ after[x,y] over a
+// bucket of c elements, tieCost = sb + sa, befCost = M·c − sb and
+// aftCost = M·c − sa. The sums come from the same scatter and readout as
+// the fold; x's own zero diagonal entry still counts a pair in the M·c
+// collapse, fixed up once after the loop.
 func (st *searchState) scanPlacement(x int) int {
-	switch st.p.Width() {
-	case 32:
-		bx, ax, tx := st.p.Rows32(x)
-		return scanPlacementRows(st, x, bx, ax, tx)
-	case 16:
-		bx, ax, tx := st.p.Rows16(x)
-		return scanPlacementRows(st, x, bx, ax, tx)
-	default:
-		bx, ax, tx := st.p.Rows8(x)
-		return scanPlacementRows(st, x, bx, ax, tx)
-	}
-}
-
-// scanPlacementRows is scanPlacement over one concrete count width. tx is
-// nil only in derived-tied mode, which implies Complete — the complete
-// branch never reads it. x's bucket index is resolved up front (curIndex)
-// so the accumulation loops run with no per-bucket branch; x's own zero
-// diagonal entry still counts a pair in the M·c collapse, fixed up once
-// after the loop.
-func scanPlacementRows[T kendall.Count](st *searchState, x int, bx, ax, tx []T) int {
 	k := len(st.order)
 	st.ensureScratch(k)
 	cur := st.curIndex(x)
-	if st.p.Complete {
-		// Complete dataset: before + after + tied = M for every pair, so two
-		// row loads per element suffice — with sb = Σ before[x,y] and
-		// sa = Σ after[x,y] over a bucket of c elements,
-		// tieCost = sb + sa, befCost = M·c − sb, aftCost = M·c − sa. The
-		// sums come from the same scatter and readout as the fold.
-		m := int64(st.p.M)
-		scatterSums(st, bx, ax)
-		scat, packed := st.scat, st.packed
-		for j, id := range st.order {
-			sb, sa, mc := scat[id].take(packed)
-			st.tieCost[j], st.befCost[j], st.aftCost[j] = sb+sa, mc-sb, mc-sa
-		}
-		st.befCost[cur] -= m
-		st.aftCost[cur] -= m
-	} else {
-		for j, id := range st.order {
-			var tc, bc, ac int64
-			for _, y := range st.store[id] {
-				bxy, axy, txy := int64(bx[y]), int64(ax[y]), int64(tx[y])
-				tc += bxy + axy // costTied(x, y)
-				bc += axy + txy // costBefore(x, y)
-				ac += bxy + txy // costBefore(y, x)
-			}
-			st.tieCost[j], st.befCost[j], st.aftCost[j] = tc, bc, ac
-		}
+	st.scatterRow(x)
+	m := int64(st.p.M)
+	scat, packed := st.scat, st.packed
+	for j, id := range st.order {
+		sb, sa, mc := scat[id].take(packed)
+		st.tieCost[j], st.befCost[j], st.aftCost[j] = sb+sa, mc-sb, mc-sa
 	}
+	st.befCost[cur] -= m
+	st.aftCost[cur] -= m
 	// preB[q] = cost of x being after buckets 0..q-1; sufA[q] = cost of x
 	// being before buckets q..k-1.
 	st.preB[0] = 0
@@ -488,20 +452,13 @@ func scanPlacementRows[T kendall.Count](st *searchState, x int, bx, ax, tx []T) 
 //	new bucket at boundary q:  D_q
 //	tie into bucket j:         D_j + 2·sb_j + sa_j − M·|Bj|
 //
-// so no prefix-sum scratch arrays or backward passes are needed. The
-// general path (partial datasets) keeps the explicit three-cost scan. An
+// so no prefix-sum scratch arrays or backward passes are needed. An
 // element found move-free skips its scan until some move lands (lastSeen).
 func (st *searchState) improveElement(x int) int64 {
 	if st.lastSeen[x] == st.version {
 		return 0 // state untouched since x was last found move-free
 	}
-	var bestDelta int64
-	var bestTie, bestNew, cur int
-	if st.p.Complete {
-		bestDelta, cur, bestTie, bestNew = st.bestMoveComplete(x)
-	} else {
-		bestDelta, cur, bestTie, bestNew = st.bestMoveGeneral(x)
-	}
+	bestDelta, cur, bestTie, bestNew := st.bestMoveComplete(x)
 	if bestTie < 0 && bestNew < 0 {
 		st.lastSeen[x] = st.version
 		return 0
@@ -513,16 +470,22 @@ func (st *searchState) improveElement(x int) int64 {
 	return bestDelta
 }
 
-// bestMoveComplete is the placement evaluation for complete datasets. It
-// returns the best strictly-improving move exactly as bestMoveGeneral would
-// (same values, same tie-breaking: lowest candidate value wins, existing
-// buckets in order first, then boundaries in order — matching the
-// historical two-loop scan). It dispatches once on the matrix's storage
-// width (Rows8/16/32) to scatter x's typed row pair into per-bucket sums,
-// then folds the sums in one walk of the bucket order. It never needs a
-// tied row, which is exactly why the derived-tied backend can drop that
-// plane without slowing this loop down.
+// bestMoveComplete returns x's best strictly-improving move: the lowest
+// candidate value wins, existing buckets in order first, then boundaries
+// in order — matching the historical two-loop scan. It scatters x's row
+// pair into per-bucket sums, then folds the sums in one walk of the bucket
+// order.
 func (st *searchState) bestMoveComplete(x int) (bestDelta int64, cur, bestTie, bestNew int) {
+	st.scatterRow(x)
+	return st.foldPlacements(x)
+}
+
+// scatterRow adds x's before/after matrix rows into the per-bucket sums,
+// dispatching once on the matrix's storage width (Rows8/16/32) to a
+// monomorphized scatter. It never needs a tied row, which is exactly why
+// the derived-tied backend can drop that plane without slowing the scan
+// down.
+func (st *searchState) scatterRow(x int) {
 	switch st.p.Width() {
 	case 32:
 		bx, ax, _ := st.p.Rows32(x)
@@ -534,7 +497,6 @@ func (st *searchState) bestMoveComplete(x int) (bestDelta int64, cur, bestTie, b
 		bx, ax, _ := st.p.Rows8(x)
 		scatterSums(st, bx, ax)
 	}
-	return st.foldPlacements(x)
 }
 
 // foldPlacements is the hot path of the scan engine. It folds the
@@ -647,34 +609,6 @@ func (st *searchState) sizeScat() {
 	for _, id := range st.order {
 		st.scat[id].size = m * uint64(len(st.store[id]))
 	}
-}
-
-// bestMoveGeneral evaluates placements via the explicit three-cost scan and
-// prefix sums. Every registered aggregator rejects incomplete datasets
-// (core.CheckInput), so in production p.Complete always holds and this path
-// is defensive: it is reachable only by a descent on a matrix built from an
-// incomplete dataset, which the oracle tests run to pin both paths to the
-// same move selection.
-func (st *searchState) bestMoveGeneral(x int) (bestDelta int64, cur, bestTie, bestNew int) {
-	cur = st.scanPlacement(x)
-	k := len(st.order)
-	curCost := st.preB[cur] + st.sufA[cur+1] + st.tieCost[cur]
-
-	bestDelta, bestTie, bestNew = 0, -1, -1
-	for j := 0; j < k; j++ {
-		if j == cur {
-			continue
-		}
-		if d := st.preB[j] + st.sufA[j+1] + st.tieCost[j] - curCost; d < bestDelta {
-			bestDelta, bestTie, bestNew = d, j, -1
-		}
-	}
-	for q := 0; q <= k; q++ {
-		if d := st.preB[q] + st.sufA[q] - curCost; d < bestDelta {
-			bestDelta, bestTie, bestNew = d, -1, q
-		}
-	}
-	return bestDelta, cur, bestTie, bestNew
 }
 
 // apply moves x out of bucket index cur into existing bucket tie (if

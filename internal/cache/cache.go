@@ -1,20 +1,33 @@
-// Package cache provides the serving layer's session cache: an LRU of
-// *rankagg.Session values keyed on the dataset content hash
-// (rankagg.Dataset.Hash), so repeated and concurrent requests over the
-// same dataset share one cached O(m·n²) pair matrix instead of rebuilding
-// it per request.
+// Package cache provides the serving layer's caches, keyed on the dataset
+// content hash (rankagg.Dataset.Hash).
 //
-// The cache bounds both the entry count and the total matrix bytes
-// (Session.MatrixBytes), evicting least-recently-used sessions when either
-// budget is exceeded. Lookups of a missing key are single-flighted: when
-// two requests race on the first query for one dataset, exactly one
-// executes the build function (session construction plus the eager matrix
-// build) and both receive the same session.
+// The two session caches are one generic budgeted LRU, LRU[V],
+// instantiated once per tier with the weigher its entries are charged by:
+//   - Cache holds *rankagg.Session values weighed by their pair matrix
+//     (Session.MatrixBytes), so repeated and concurrent requests over the
+//     same dataset share one cached O(m·n²) build instead of paying it per
+//     request;
+//   - ApproxCache holds the matrix-free tier's *rankagg.ApproxSession
+//     values weighed by their O(n + Σ L_i) incremental aggregation state
+//     (ApproxSession.StateBytes), so a fixed byte budget holds orders of
+//     magnitude more of them. It is what lets PATCH work on datasets only
+//     that tier serves, such as toplists datasets.
 //
-// Sessions are dynamic (rankagg.Session.ApplyDelta), and a mutation
-// rotates the dataset content hash, so Mutate re-keys an entry in place:
-// the entry moves from the old hash to the new one around the mutation,
-// with its byte weight re-accounted against the budget.
+// An LRU bounds both the entry count and the total weight, evicting
+// least-recently-used sessions when either budget is exceeded. Lookups of a
+// missing key are single-flighted: when two requests race on the first
+// query for one dataset, exactly one executes the build function (session
+// construction plus, for a Session, the eager matrix build) and both
+// receive the same session.
+//
+// Sessions are dynamic (ApplyDelta), and a mutation rotates the dataset
+// content hash, so Mutate re-keys an entry in place: the entry moves from
+// the old hash to the new one around the mutation, with its weight re-read
+// against the budget. CompactSweep gives back the matrix memory that
+// deltas left in a Cache.
+//
+// ConsensusCache, the tier above the sessions, stores whole aggregation
+// results keyed on (dataset hash, run spec).
 package cache
 
 import (
@@ -50,16 +63,17 @@ type Stats struct {
 	Bytes   int64
 }
 
-// Cache is a budgeted LRU of sessions. The zero value is not usable; see
-// New. All methods are safe for concurrent use.
-type Cache struct {
+// LRU is a budgeted LRU of sessions of one tier. The zero value is not
+// usable; see New and NewApprox. All methods are safe for concurrent use.
+type LRU[V any] struct {
 	maxEntries int
 	maxBytes   int64
+	weigh      func(V) int64
 
 	mu           sync.Mutex
 	ll           *list.List // front = most recently used
 	items        map[string]*list.Element
-	flight       map[string]*flightCall
+	flight       map[string]*flightCall[V]
 	bytes        int64
 	hits         int64
 	misses       int64
@@ -70,17 +84,23 @@ type Cache struct {
 	compactBytes int64
 }
 
-type entry struct {
+// Cache is the exact tier's session cache.
+type Cache = LRU[*rankagg.Session]
+
+// ApproxCache is the matrix-free tier's session cache.
+type ApproxCache = LRU[*rankagg.ApproxSession]
+
+type entry[V any] struct {
 	key   string
-	sess  *rankagg.Session
+	sess  V
 	bytes int64
 }
 
 // flightCall is one in-flight build; latecomers Wait and then read the
 // outcome.
-type flightCall struct {
+type flightCall[V any] struct {
 	wg   sync.WaitGroup
-	sess *rankagg.Session
+	sess V
 	err  error
 }
 
@@ -88,12 +108,23 @@ type flightCall struct {
 // cached pair-matrix memory. Either bound may be 0 for "unlimited"
 // (bounding at least one of them is strongly advised in a server).
 func New(maxEntries int, maxBytes int64) *Cache {
-	return &Cache{
+	return newLRU(maxEntries, maxBytes, (*rankagg.Session).MatrixBytes)
+}
+
+// NewApprox returns an approx-session cache bounded to maxEntries sessions
+// and maxBytes of aggregation state (either 0: unlimited).
+func NewApprox(maxEntries int, maxBytes int64) *ApproxCache {
+	return newLRU(maxEntries, maxBytes, (*rankagg.ApproxSession).StateBytes)
+}
+
+func newLRU[V any](maxEntries int, maxBytes int64, weigh func(V) int64) *LRU[V] {
+	return &LRU[V]{
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
+		weigh:      weigh,
 		ll:         list.New(),
 		items:      make(map[string]*list.Element),
-		flight:     make(map[string]*flightCall),
+		flight:     make(map[string]*flightCall[V]),
 	}
 }
 
@@ -103,16 +134,16 @@ func New(maxEntries int, maxBytes int64) *Cache {
 // and every caller receives its outcome (an error is returned to all
 // waiters and nothing is cached).
 //
-// build should return the session with its pair matrix already built
+// A Session's build should return it with its pair matrix already built
 // (call Session.Pairs() before returning) so the entry's byte weight is
 // final on insertion and later requests never pay the build.
-func (c *Cache) GetOrBuild(key string, build func() (*rankagg.Session, error)) (sess *rankagg.Session, hit bool, err error) {
+func (c *LRU[V]) GetOrBuild(key string, build func() (V, error)) (sess V, hit bool, err error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		c.hits++
 		c.mu.Unlock()
-		return el.Value.(*entry).sess, true, nil
+		return el.Value.(*entry[V]).sess, true, nil
 	}
 	c.misses++
 	if fc, ok := c.flight[key]; ok {
@@ -120,7 +151,7 @@ func (c *Cache) GetOrBuild(key string, build func() (*rankagg.Session, error)) (
 		fc.wg.Wait()
 		return fc.sess, false, fc.err
 	}
-	fc := &flightCall{}
+	fc := &flightCall[V]{}
 	fc.wg.Add(1)
 	c.flight[key] = fc
 	c.mu.Unlock()
@@ -143,10 +174,10 @@ func (c *Cache) GetOrBuild(key string, build func() (*rankagg.Session, error)) (
 // in place around a caller-supplied mutation: the entry is detached under
 // the cache lock, mutate runs outside it (session mutation is O(n²)
 // compute and must not block the cache), and the entry is re-inserted
-// under the new key mutate returns, with its byte weight re-read from
-// Session.MatrixBytes. found reports whether oldKey held a ready entry;
-// when false, nothing ran and the caller falls back to a full build
-// (the server's delta_miss path).
+// under the new key mutate returns, with its weight re-read (a delta can
+// promote a matrix backend, or grow a dataset and drop a diverged Lehmer
+// state, so the weight moves in either direction). found reports whether
+// oldKey held a ready entry; when false, nothing ran.
 //
 // Detaching gives the mutation exclusive ownership of the ENTRY — a
 // concurrent Mutate of the same key misses, and a concurrent GetOrBuild
@@ -156,16 +187,16 @@ func (c *Cache) GetOrBuild(key string, build func() (*rankagg.Session, error)) (
 // copy-on-write snapshots. When mutate fails, the untouched entry is
 // restored under oldKey (unless a concurrent rebuild got there first,
 // in which case that fresher entry wins).
-func (c *Cache) Mutate(oldKey string, mutate func(*rankagg.Session) (newKey string, err error)) (sess *rankagg.Session, newKey string, found bool, err error) {
+func (c *LRU[V]) Mutate(oldKey string, mutate func(V) (newKey string, err error)) (sess V, newKey string, found bool, err error) {
 	c.mu.Lock()
 	el, ok := c.items[oldKey]
 	if !ok {
 		c.misses++
 		c.mu.Unlock()
-		return nil, "", false, nil
+		return sess, "", false, nil
 	}
 	c.hits++
-	e := el.Value.(*entry)
+	e := el.Value.(*entry[V])
 	c.removeLocked(el)
 	c.mu.Unlock()
 
@@ -196,26 +227,23 @@ func (c *Cache) Mutate(oldKey string, mutate func(*rankagg.Session) (newKey stri
 // Entries evicted, re-keyed or rebuilt mid-sweep are simply skipped — the
 // sweep is best-effort and never blocks serving. LRU order is untouched:
 // compaction is maintenance, not a use.
-func (c *Cache) CompactSweep() (compacted int, reclaimed int64) {
+func CompactSweep(c *Cache) (compacted int, reclaimed int64) {
 	c.mu.Lock()
-	sessions := make([]*rankagg.Session, 0, c.ll.Len())
-	keys := make([]string, 0, c.ll.Len())
+	entries := make([]entry[*rankagg.Session], 0, c.ll.Len())
 	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
-		sessions = append(sessions, e.sess)
-		keys = append(keys, e.key)
+		entries = append(entries, *el.Value.(*entry[*rankagg.Session]))
 	}
 	c.mu.Unlock()
 
-	for i, sess := range sessions {
-		freed := sess.CompactMatrix()
+	for _, ce := range entries {
+		freed := ce.sess.CompactMatrix()
 		if freed <= 0 {
 			continue
 		}
 		c.mu.Lock()
-		if el, ok := c.items[keys[i]]; ok {
-			if e := el.Value.(*entry); e.sess == sess {
-				nb := sess.MatrixBytes()
+		if el, ok := c.items[ce.key]; ok {
+			if e := el.Value.(*entry[*rankagg.Session]); e.sess == ce.sess {
+				nb := ce.sess.MatrixBytes()
 				c.bytes += nb - e.bytes
 				e.bytes = nb
 				compacted++
@@ -233,21 +261,21 @@ func (c *Cache) CompactSweep() (compacted int, reclaimed int64) {
 // the hit/miss counters — pure introspection (the GET /v1/datasets/{hash}
 // endpoint), so reading metadata never perturbs eviction or the metrics
 // smoke asserts on.
-func (c *Cache) Peek(key string) (*rankagg.Session, bool) {
+func (c *LRU[V]) Peek(key string) (sess V, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return nil, false
+		return sess, false
 	}
-	return el.Value.(*entry).sess, true
+	return el.Value.(*entry[V]).sess, true
 }
 
 // Remove drops the entry cached under key (the DELETE /v1/datasets/{hash}
 // eviction), reporting whether one was held. Requests that already fetched
 // the session keep running on their copy-on-write snapshots; removal only
 // stops future lookups from finding it.
-func (c *Cache) Remove(key string) bool {
+func (c *LRU[V]) Remove(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -261,28 +289,28 @@ func (c *Cache) Remove(key string) bool {
 // Keys returns the cached dataset hashes in most-recently-used order —
 // the session-cache half of the GET /v1/datasets listing (datasets that
 // exist only as cache entries, with no persisted counterpart).
-func (c *Cache) Keys() []string {
+func (c *LRU[V]) Keys() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	keys := make([]string, 0, c.ll.Len())
 	for el := c.ll.Front(); el != nil; el = el.Next() {
-		keys = append(keys, el.Value.(*entry).key)
+		keys = append(keys, el.Value.(*entry[V]).key)
 	}
 	return keys
 }
 
 // Get returns the session cached under key without building on a miss.
-func (c *Cache) Get(key string) (*rankagg.Session, bool) {
+func (c *LRU[V]) Get(key string) (sess V, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		return sess, false
 	}
 	c.ll.MoveToFront(el)
 	c.hits++
-	return el.Value.(*entry).sess, true
+	return el.Value.(*entry[V]).sess, true
 }
 
 // insertLocked adds a fresh entry at the MRU position and evicts from the
@@ -290,7 +318,7 @@ func (c *Cache) Get(key string) (*rankagg.Session, bool) {
 // evicted — a dataset too large for the byte budget still serves the
 // requests that are hot right now and goes first when something newer
 // arrives.
-func (c *Cache) insertLocked(key string, sess *rankagg.Session) {
+func (c *LRU[V]) insertLocked(key string, sess V) {
 	// A duplicate key is unreachable from GetOrBuild (single-flight), but
 	// Mutate inserts without a flight and can collide with a concurrent
 	// rebuild: its error path restores oldKey after a GetOrBuild re-built
@@ -302,7 +330,7 @@ func (c *Cache) insertLocked(key string, sess *rankagg.Session) {
 		c.ll.MoveToFront(el)
 		return
 	}
-	e := &entry{key: key, sess: sess, bytes: sess.MatrixBytes()}
+	e := &entry[V]{key: key, sess: sess, bytes: c.weigh(sess)}
 	el := c.ll.PushFront(e)
 	c.items[key] = el
 	c.bytes += e.bytes
@@ -316,34 +344,37 @@ func (c *Cache) insertLocked(key string, sess *rankagg.Session) {
 	}
 }
 
-func (c *Cache) overBudgetLocked() bool {
+func (c *LRU[V]) overBudgetLocked() bool {
 	return (c.maxEntries > 0 && c.ll.Len() > c.maxEntries) ||
 		(c.maxBytes > 0 && c.bytes > c.maxBytes)
 }
 
-func (c *Cache) removeLocked(el *list.Element) {
-	e := el.Value.(*entry)
+func (c *LRU[V]) removeLocked(el *list.Element) {
+	e := el.Value.(*entry[V])
 	c.ll.Remove(el)
 	delete(c.items, e.key)
 	c.bytes -= e.bytes
 }
 
 // Len returns the number of cached sessions.
-func (c *Cache) Len() int {
+func (c *LRU[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
 }
 
-// Bytes returns the total matrix bytes currently cached.
-func (c *Cache) Bytes() int64 {
+// Bytes returns the total weight currently cached: matrix bytes in a
+// Cache, aggregation-state bytes in an ApproxCache.
+func (c *LRU[V]) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
 }
 
-// Stats returns a snapshot of the counters.
-func (c *Cache) Stats() Stats {
+// Stats returns a snapshot of the counters (the compaction counters stay 0
+// in an ApproxCache: approx state has no compact sweep, deltas shrink it
+// directly).
+func (c *LRU[V]) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{

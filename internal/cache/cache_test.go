@@ -472,7 +472,7 @@ func TestCompactSweepReclaims(t *testing.T) {
 	if _, _, err := c.GetOrBuild(key, func() (*rankagg.Session, error) { return sess, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if cnt, freed := c.CompactSweep(); cnt != 0 || freed != 0 {
+	if cnt, freed := CompactSweep(c); cnt != 0 || freed != 0 {
 		t.Fatalf("sweep on a compact cache reclaimed %d entries / %d bytes", cnt, freed)
 	}
 
@@ -503,7 +503,7 @@ func TestCompactSweepReclaims(t *testing.T) {
 		t.Fatalf("cache accounts %d bytes before the sweep, want %d", st.Bytes, widened)
 	}
 
-	cnt, freed := c.CompactSweep()
+	cnt, freed := CompactSweep(c)
 	if cnt != 1 || freed != widened-compact {
 		t.Fatalf("sweep reclaimed %d entries / %d bytes, want 1 / %d", cnt, freed, widened-compact)
 	}
@@ -522,7 +522,7 @@ func TestCompactSweepReclaims(t *testing.T) {
 	if !sess.Pairs().Equal(fresh.Pairs()) {
 		t.Error("compacted matrix differs from a fresh build of its dataset")
 	}
-	if cnt, freed := c.CompactSweep(); cnt != 0 || freed != 0 {
+	if cnt, freed := CompactSweep(c); cnt != 0 || freed != 0 {
 		t.Errorf("second sweep reclaimed %d entries / %d bytes, want a no-op", cnt, freed)
 	}
 	if _, ok := c.Get(key); !ok {

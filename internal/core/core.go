@@ -85,6 +85,9 @@ func IsMatrixFree(a Aggregator) bool {
 // a nil p) fall back to plain Aggregate. p, when non-nil, must be the pair
 // matrix of d.
 func AggregateWithPairs(a Aggregator, d *rankings.Dataset, p *kendall.Pairs) (*rankings.Ranking, error) {
+	if err := checkPairs(p); err != nil {
+		return nil, err
+	}
 	if pa, ok := a.(PairsAggregator); ok && p != nil {
 		return pa.AggregateWithPairs(d, p)
 	}
@@ -103,6 +106,18 @@ func AggregateExactWithPairs(a ExactAggregator, d *rankings.Dataset, p *kendall.
 // algorithms require all rankings to cover the same elements (apply a
 // process from package normalize first).
 var ErrIncomplete = errors.New("core: dataset rankings do not cover the same elements (normalize first)")
+
+// checkPairs rejects a caller-supplied pair matrix built from an
+// incomplete dataset with ErrIncomplete. Every aggregator takes complete
+// datasets only (CheckInput), so such a matrix cannot be the matrix of the
+// dataset it came with, and the local searches' scans assume a complete
+// one.
+func checkPairs(p *kendall.Pairs) error {
+	if p != nil && !p.Complete {
+		return ErrIncomplete
+	}
+	return nil
+}
 
 // ErrEmpty is returned for datasets with no rankings or no elements.
 var ErrEmpty = errors.New("core: empty dataset")

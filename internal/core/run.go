@@ -148,6 +148,9 @@ func Run(ctx context.Context, a Aggregator, d *rankings.Dataset, opts RunOptions
 	if err := ctx.Err(); err == context.Canceled {
 		return nil, err
 	}
+	if err := checkPairs(opts.Pairs); err != nil {
+		return nil, err
+	}
 	if ca, ok := a.(CtxAggregator); ok {
 		return ca.AggregateCtx(ctx, d, opts)
 	}

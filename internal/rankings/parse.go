@@ -104,10 +104,14 @@ func parseBucket(s, sep string) ([]string, error) {
 
 // checkName rejects an element name the bracket notation cannot write
 // back: Universe.Format would put a ',', '}' or line break in it where
-// ParseRanking splits a bucket, ends one or ends the line.
+// ParseRanking splits a bucket, ends one or ends the line, and
+// ParseRanking trims the white space around each name.
 func checkName(name string) error {
 	if strings.ContainsAny(name, ",}\n\r") {
 		return fmt.Errorf("rankings: element name %q holds ',', '}' or a line break", name)
+	}
+	if strings.TrimSpace(name) != name {
+		return fmt.Errorf("rankings: element name %q has leading or trailing white space", name)
 	}
 	return nil
 }

@@ -76,15 +76,27 @@ func TestParseScoreCSVErrors(t *testing.T) {
 }
 
 // TestParseScoreCSVRejectsUnwritableNames: an item name holding ',', '}'
-// or a line break is rejected with ParseRanking's check. Accepted, the
-// first one made the CLI print [{A,B},{C}], which reads back as three
-// elements.
+// or a line break, or with leading or trailing white space, is rejected
+// with ParseRanking's check. Accepted, the first one made the CLI print
+// [{A,B},{C}], which reads back as three elements.
 func TestParseScoreCSVRejectsUnwritableNames(t *testing.T) {
 	for _, name := range []string{`"A,B"`, `A}B`, "\"A\nB\"", "\"A\rB\""} {
 		csv := "s1," + name + ",2\ns1,C,1\ns2," + name + ",2\ns2,C,1\n"
 		_, _, err := ParseScoreCSV(strings.NewReader(csv), 0)
 		if err == nil || !strings.Contains(err.Error(), "line break") {
 			t.Errorf("ParseScoreCSV with item %s: err = %v, want the bracket-notation name error", name, err)
+		}
+	}
+	// "A " and "A" are two items to the CSV reader, but the bracket
+	// notation trims names: Universe.Format would write both as A, and
+	// ParseRanking would read one name twice.
+	for _, csv := range []string{
+		"s1,A ,2\ns1,A,1\ns2,A ,1\ns2,A,2\n",
+		"s1,A\t,2\ns1,A,1\ns2,A\t,1\ns2,A,2\n",
+	} {
+		_, _, err := ParseScoreCSV(strings.NewReader(csv), 0)
+		if err == nil || !strings.Contains(err.Error(), "white space") {
+			t.Errorf("ParseScoreCSV(%q): err = %v, want the white-space name error", csv, err)
 		}
 	}
 }

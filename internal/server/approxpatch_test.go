@@ -264,3 +264,57 @@ func TestApproxPatchValidation(t *testing.T) {
 		t.Fatalf("partial add on complete dataset: %d %s, want 400", resp.StatusCode, data)
 	}
 }
+
+// TestPatchRekeysBothCaches: one complete ephemeral dataset, run once
+// matrix-free and once exact, lives in both session caches under one hash.
+// A PATCH moves both entries to the new hash, so the old hash answers 404
+// everywhere and the approx session keeps its incremental state. A PATCH of
+// a dataset only the matrix tier holds still probes the approx cache, and
+// that probe counts as an approx-cache miss.
+func TestPatchRekeysBothCaches(t *testing.T) {
+	s, ts := newTestServer(t, server.Config{})
+	created, _ := putDataset(t, ts.URL, smallRequest("").DatasetWire)
+	hash := created.DatasetHash
+	if res, _ := aggregateHash(t, ts.URL, hash, "lehmer"); !res.Approx {
+		t.Fatalf("lehmer ran on the exact tier: %+v", res)
+	}
+	if res, _ := aggregateHash(t, ts.URL, hash, "BordaCount"); res.Approx {
+		t.Fatalf("BordaCount ran on the approx tier: %+v", res)
+	}
+	resp, data := doPatch(t, ts.URL, hash, server.PatchRequest{Ops: []server.PatchOp{{Add: extraRanking()}}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("PATCH: %d %s", resp.StatusCode, data)
+	}
+	var pr server.PatchResponse
+	decodeJSON(t, data, &pr)
+	if pr.MatrixDeltas != 1 || !pr.Approx || pr.ApproxDeltas != 1 {
+		t.Fatalf("PATCH = %s, want the delta applied to both sessions", data)
+	}
+	if st, as := s.CacheStats(), s.ApproxCacheStats(); st.Rekeys != 1 || as.Rekeys != 1 || st.Entries != 1 || as.Entries != 1 {
+		t.Fatalf("after PATCH: session cache %+v, approx cache %+v; want one re-keyed entry each", st, as)
+	}
+	if resp, data := doJSON(t, http.MethodGet, ts.URL+"/v1/datasets/"+hash, nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET old hash after PATCH: %d %s, want 404", resp.StatusCode, data)
+	}
+	resp, data = doJSON(t, http.MethodGet, ts.URL+"/v1/datasets/"+pr.DatasetHash, nil)
+	var info server.DatasetInfoResponse
+	decodeJSON(t, data, &info)
+	if resp.StatusCode != http.StatusOK || !info.Approx || info.ApproxDeltas != 1 || info.MatrixDeltas != 1 {
+		t.Fatalf("GET new hash: %d %s, want both sessions with one delta each", resp.StatusCode, data)
+	}
+	if res, _ := aggregateHash(t, ts.URL, pr.DatasetHash, "lehmer"); !res.CacheHit {
+		t.Errorf("lehmer on the new hash missed the re-keyed approx session: %+v", res)
+	}
+
+	other, _ := putDataset(t, ts.URL, rankings.DatasetWire{Rankings: []*rankings.Ranking{
+		rankings.New([]int{0}, []int{1, 2}), rankings.New([]int{2}, []int{0}, []int{1}),
+	}})
+	misses := s.ApproxCacheStats().Misses
+	resp, data = doPatch(t, ts.URL, other.DatasetHash, server.PatchRequest{Ops: []server.PatchOp{{Add: rankings.New([]int{1}, []int{0, 2})}}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("PATCH matrix-only dataset: %d %s", resp.StatusCode, data)
+	}
+	if got := s.ApproxCacheStats().Misses; got != misses+1 {
+		t.Errorf("approx cache misses %d → %d across a matrix-tier PATCH, want one probe", misses, got)
+	}
+}

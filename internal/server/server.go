@@ -56,15 +56,21 @@
 // seed, no search — so they are cached and persisted exactly like exact
 // ones; only deadline-cut results are never cached.
 //
-// Dynamic datasets: PATCH applies add/remove ranking deltas to the cached
-// session of a hot dataset in O(n²) per ranking (Session.ApplyDelta over
-// kendall's incremental Pairs.Add/Remove) instead of the O(m·n²) rebuild a
-// full POST of the changed dataset would cost on a cache miss. The content
-// hash rotates with the mutation: the response carries the new hash, the
-// cache entry is re-keyed to it, and a subsequent POST of the full changed
-// dataset is a plain cache hit. A PATCH whose base hash is not cached is a
-// 404 (rankagg_delta_miss_fallback_total) — the client falls back to a
-// full POST.
+// Dynamic datasets: PATCH applies add/remove ranking deltas in place, in
+// one flow for every tier (handlePatchDataset). The delta rule is the one
+// rankings.ApplyDelta spells out, shared by the store's log and both
+// session tiers. For a persisted dataset the store validates the delta and
+// appends it to the log first; then every session cache holding the hash
+// folds the delta into its session — O(n²) per ranking on a cached pair
+// matrix (Session.ApplyDelta over kendall's Pairs.Add/Remove), O(n log n)
+// per ranking on the approx tier's incremental state — instead of the
+// O(m·n²) rebuild a full POST of the changed dataset would cost on a
+// cache miss. The content hash rotates with the mutation: the response
+// carries the new hash, each cache entry re-keys to it, and an entry whose
+// own new hash disagrees with the store's is dropped for a rebuild by
+// replay. A PATCH of a dataset neither persisted nor cached is a 404
+// (rankagg_delta_miss_fallback_total) — the client falls back to a full
+// POST.
 //
 // Admission routing: datasets whose projected pair matrix exceeds the
 // -max-elements byte budget are not rejected by default — under
@@ -81,17 +87,19 @@
 // reason="approx-budget", before it is hashed.
 //
 // Approx-tier sessions: the tier keeps its own hash-keyed LRU of
-// rankagg.ApproxSession values — the delta-maintainable aggregation state
-// (per-element Lehmer multisets, score totals) weighed by StateBytes, a
-// tiny fraction of a pair matrix. That is what makes PATCH work on
-// approx-routed and toplists datasets: a PATCH whose hash misses the
-// matrix cache falls through to the approx cache and applies the delta to
-// the incremental state in O(n log n) per ranking
-// (rankagg_approx_delta_applied_total), partial adds included — a toplists
-// dataset absorbs more top-k lists. Persisted incomplete datasets replay
-// their delta log through the same ApplyDelta path on rebuild
-// (Store.RebuildApprox). Encode passes shard across the request's worker
-// tokens (rankagg_approx_encode_workers); the consensus is worker-count
+// rankagg.ApproxSession values — the same generic cache.LRU as the matrix
+// tier's, weighing the delta-maintainable aggregation state (per-element
+// Lehmer multisets, score totals) by StateBytes, a tiny fraction of a pair
+// matrix. That is what makes PATCH work on approx-routed and toplists
+// datasets, partial adds included: a toplists dataset absorbs more top-k
+// lists (rankagg_approx_delta_applied_total). Both tiers aggregate through
+// one flow — consensus single flight, session lookup with a rebuild from
+// the store (Store.Rebuild, Store.RebuildApprox), a run pinned to the
+// request's hash, SaveConsensus — whose only per-tier step is looking the
+// session up and running it (runOnSession). The approx tier takes its
+// worker tokens before the consensus lookup, so its consensus hits wait
+// for a token too. Encode passes shard across the request's worker tokens
+// (rankagg_approx_encode_workers); the consensus is worker-count
 // invariant, so the answer never depends on load.
 //
 // Request scheduling: every aggregation holds at least one token of a
@@ -642,26 +650,27 @@ func (s *Server) serveAggregateOn(w http.ResponseWriter, r *http.Request, spec r
 	ctx, cancelBudget := context.WithTimeout(r.Context(), budget)
 	defer cancelBudget()
 
+	var tokens int
 	if approxTier {
-		tokens, err := s.acquireWorkers(ctx)
-		if err != nil {
-			if r.Context().Err() != nil {
-				// Client gone while queued; nobody reads the reply, but
-				// record the abort honestly (nginx's 499) instead of a
-				// default 200.
-				s.metrics.cancels.Add(1)
-				w.WriteHeader(statusClientClosedRequest)
-				return
-			}
-			s.metrics.queueRejects.Add(1)
-			s.writeError(w, http.StatusServiceUnavailable, "worker budget exhausted within the request's time budget")
+		// The approx tier takes its worker tokens before the consensus
+		// lookup and holds them until its response is written, so even its
+		// consensus hits queue for a token; the exact tier takes them
+		// inside the single flight below. The wider span stays because
+		// narrowing it changes the tier's served throughput, which
+		// perfbench's approx-wire op sequences are sized for.
+		var err error
+		if tokens, err = s.acquireWorkers(ctx); err != nil {
+			s.writeRunError(w, r, err, spec.Algorithm, "")
 			return
 		}
 		defer s.releaseWorkers(tokens)
-		s.metrics.inFlight.Add(1)
-		defer s.metrics.inFlight.Add(-1)
-		s.serveApprox(ctx, w, r, spec, d, u, runName, routed, tokens)
-		return
+		s.metrics.approxRequests.Add(1)
+		if routed {
+			s.metrics.approxRouted.Add(1)
+		}
+		// The admission router may have substituted the algorithm; the
+		// token scheduler, not the client, decides the parallelism.
+		spec.Algorithm = runName
 	}
 
 	start := time.Now()
@@ -676,128 +685,37 @@ func (s *Server) serveAggregateOn(w http.ResponseWriter, r *http.Request, spec r
 	// all) and for waiters coalesced onto another request's solve.
 	var sessHit bool
 	res, consensusHit, err := s.consensus.GetOrRun(hash, specKey, func() (*rankagg.Result, uint64, error) {
-		// Worker tokens are acquired inside the single flight: a consensus
-		// hit — and every waiter coalesced onto this solve — never queues
-		// for the worker budget at all.
-		tokens, err := s.acquireWorkers(ctx)
+		n := tokens
+		if !approxTier {
+			// Worker tokens are acquired inside the single flight: a
+			// consensus hit — and every waiter coalesced onto this solve —
+			// never queues for the worker budget at all.
+			var err error
+			if n, err = s.acquireWorkers(ctx); err != nil {
+				return nil, 0, err
+			}
+			defer s.releaseWorkers(n)
+		}
+		res, version, hit, err := s.runOnSession(ctx, approxTier, hash, d, spec, n)
 		if err != nil {
 			return nil, 0, err
-		}
-		defer s.releaseWorkers(tokens)
-		s.metrics.inFlight.Add(1)
-		defer s.metrics.inFlight.Add(-1)
-
-		sess, hit, err := s.cache.GetOrBuild(hash, func() (*rankagg.Session, error) {
-			// A persisted dataset reconstructs from the durable store —
-			// snapshot load plus delta-log replay through the same
-			// Pairs.Add/Remove path a live PATCH takes, byte-identical to
-			// the fresh build below — so an evicted session (or a restarted
-			// process) costs a replay, not a 404. A store error falls back
-			// to the fresh build: d is in hand on this surface.
-			if s.store != nil && s.store.Has(hash) {
-				if sess, _, err := s.store.Rebuild(hash); err == nil {
-					s.metrics.matrixBytes.Store(sess.MatrixBytes())
-					return sess, nil
-				}
-			}
-			sess, err := rankagg.NewSession(d, rankagg.WithMatrixMode(s.matrixMode))
-			if err != nil {
-				return nil, err
-			}
-			sess.Pairs() // eager O(m·n²) build inside the single flight
-			s.metrics.matrixBytes.Store(sess.MatrixBytes())
-			return sess, nil
-		})
-		if err != nil {
-			// NewSession rejections are input problems (incomplete dataset,
-			// structural invalidity that slipped past the wire checks).
-			return nil, 0, inputError{err}
 		}
 		sessHit = hit
-		version := sess.Version()
-
-		opts := []rankagg.Option{rankagg.WithWorkers(tokens)}
-		if rankagg.CanWarmStart(spec.Algorithm) {
-			// A PATCH on this dataset's ancestor left its best pre-PATCH
-			// consensus as a hint; spend it (consume-once) on this solve.
-			if hint := s.consensus.TakeWarmHint(hash); hint != nil {
-				opts = append(opts, rankagg.WithWarmStart(hint.Consensus))
-			}
-		}
-		// The response is labeled with the POSTed dataset's hash, so the
-		// run must happen on exactly that dataset — but the cached session
-		// is dynamic, and a concurrent PATCH may rotate it away between
-		// the lookup above and the run below. Pin the run to a snapshot:
-		// capture the matrix, confirm the session still hashes to the
-		// request, and hand the snapshot back through WithPairs — the run
-		// checks its version stamp against the session under the same lock
-		// that picks the dataset, so a mutation sneaking in between fails
-		// with ErrStalePairs instead of mislabeling the result (or
-		// poisoning the consensus cache under the wrong hash).
-		var res *rankagg.Result
-		snap := sess.Pairs()
-		if sess.Hash() == hash {
-			res, err = sess.RunSpec(ctx, spec, append(opts, rankagg.WithPairs(snap))...)
-			if errors.Is(err, rankagg.ErrStalePairs) {
-				res = nil
-			}
-		}
-		if res == nil && (err == nil || errors.Is(err, rankagg.ErrStalePairs)) {
-			// Lost the race: the cached session now holds a different
-			// dataset. Serve this request from a private session over its
-			// own rankings (a fresh O(m·n²) build — the same cost as a
-			// plain cache miss) rather than fighting over the cache entry.
-			sessHit = false
-			var priv *rankagg.Session
-			priv, err = rankagg.NewSession(d, rankagg.WithMatrixMode(s.matrixMode))
-			if err != nil {
-				return nil, 0, inputError{err}
-			}
-			version = priv.Version()
-			res, err = priv.RunSpec(ctx, spec, opts...)
-		}
-		if err != nil {
-			return nil, 0, err
-		}
 		if res.Stats.WarmStart {
 			s.metrics.warmStarts.Add(1)
 		}
 		// Persist the result alongside the dataset (inside the single
 		// flight, so coalesced waiters don't re-write it). The store
 		// applies the same exclusions the in-memory cache does — nothing
-		// deadline-cut or approx — and silently drops results for hashes
-		// it no longer serves (non-persisted datasets, raced rotations).
+		// deadline-cut — and silently drops results for hashes it no
+		// longer serves (non-persisted datasets, raced rotations).
 		if s.store != nil {
 			s.store.SaveConsensus(hash, specKey, store.WireFromResult(res))
 		}
 		return res, version, nil
 	})
 	if err != nil {
-		var ie inputError
-		switch {
-		case errors.As(err, &ie):
-			s.writeError(w, http.StatusBadRequest, ie.Error())
-		case errors.Is(err, context.Canceled):
-			if r.Context().Err() != nil {
-				// Client disconnected (queued or mid-search); the run
-				// stopped promptly and there is nobody to answer, but the
-				// metrics must not count the aborted run as a 200.
-				s.metrics.cancels.Add(1)
-				w.WriteHeader(statusClientClosedRequest)
-			} else {
-				// Coalesced onto an identical in-flight request whose own
-				// client disconnected. This client is still here; a retry
-				// runs the solve itself.
-				s.writeError(w, http.StatusServiceUnavailable, "the identical in-flight request this one coalesced with was cancelled; retry")
-			}
-		case errors.Is(err, context.DeadlineExceeded):
-			// The whole time budget went to queueing for a worker token.
-			s.metrics.queueRejects.Add(1)
-			s.writeError(w, http.StatusServiceUnavailable, "worker budget exhausted within the request's time budget")
-		default:
-			s.log.Printf("aggregate %s on %s: %v", spec.Algorithm, hash, err)
-			s.writeError(w, http.StatusUnprocessableEntity, err.Error())
-		}
+		s.writeRunError(w, r, err, spec.Algorithm, hash)
 		return
 	}
 	if res.DeadlineHit {
@@ -814,6 +732,7 @@ func (s *Server) serveAggregateOn(w http.ResponseWriter, r *http.Request, spec r
 		DatasetHash:  hash,
 		CacheHit:     consensusHit || sessHit,
 		ConsensusHit: consensusHit,
+		Approx:       approxTier,
 		N:            d.N,
 		M:            d.M(),
 		Stats:        res.Stats,
@@ -821,131 +740,143 @@ func (s *Server) serveAggregateOn(w http.ResponseWriter, r *http.Request, spec r
 	if u != nil {
 		resp.ConsensusNames = rankings.BucketNames(res.Consensus, u)
 	}
-	w.Header().Set("X-Rankagg-Tier", "exact")
+	tier := "exact"
+	if approxTier {
+		tier = "approx"
+	}
+	w.Header().Set("X-Rankagg-Tier", tier)
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// inputError marks a solve failure caused by the request's own dataset (a
-// NewSession rejection inside the consensus single flight); the handler
-// maps it to 400 where run failures are 422.
-type inputError struct{ err error }
-
-func (e inputError) Error() string { return e.err.Error() }
-func (e inputError) Unwrap() error { return e.err }
-
-// serveApprox is the matrix-free leg of handleAggregate, structured like
-// the exact leg: the result is single-flighted through the consensus cache
-// (approx runs are deterministic for a (dataset, spec) — no seed, no
-// search — so a repeat request is an O(1) consensus hit), and on a miss
-// the solve runs on the approx-tier session cache's entry for the hash —
-// the delta-maintainable state a PATCH keeps current — rebuilt by
-// delta-log replay for persisted datasets. runName is the algorithm that
-// actually executes (the requested one, or the admission router's
-// substitution); the response is marked with approx: true plus the
-// X-Rankagg-Tier header. The worker tokens are already held by the caller
-// and released when it returns; the encode passes shard across them.
-func (s *Server) serveApprox(ctx context.Context, w http.ResponseWriter, r *http.Request, spec rankagg.RunSpec, d *rankings.Dataset, u *rankings.Universe, runName string, routed bool, tokens int) {
-	s.metrics.approxRequests.Add(1)
-	if routed {
-		s.metrics.approxRouted.Add(1)
-	}
-	start := time.Now()
-	// The admission router may have substituted the algorithm; the token
-	// scheduler, not the client, decides the parallelism.
-	spec.Algorithm = runName
-	hash := d.Hash()
-	specKey, err := spec.Key()
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	var sessHit bool
-	res, consensusHit, err := s.consensus.GetOrRun(hash, specKey, func() (*rankagg.Result, uint64, error) {
-		sess, hit, err := s.approx.GetOrBuild(hash, func() (*rankagg.ApproxSession, error) {
-			// A persisted dataset reconstructs by snapshot load + delta-log
-			// replay through ApproxSession.ApplyDelta — the same path a live
-			// PATCH takes — so an evicted approx session (or a restarted
-			// process) resumes exactly where it left off. A store error
-			// falls back to a fresh session: d is in hand.
+// runOnSession is the aggregate flow's one per-tier step: it looks up the
+// dataset's session in the tier's cache and runs spec on it (runPinned).
+// A session missing from the cache is built from the durable store when
+// the dataset is persisted — snapshot load plus delta-log replay through
+// the same ApplyDelta a live PATCH runs, so an evicted session (or a
+// restarted process) costs a replay, not a 404 — and from d otherwise; a
+// store error falls back to d too, which is in hand. The matrix tier
+// builds the pair matrix eagerly, inside the cache's single flight, and
+// spends a pending warm hint on a warm-startable algorithm; the approx
+// tier's encode passes shard across the request's worker tokens.
+func (s *Server) runOnSession(ctx context.Context, approxTier bool, hash string, d *rankings.Dataset, spec rankagg.RunSpec, tokens int) (*rankagg.Result, uint64, bool, error) {
+	if approxTier {
+		return runPinned(ctx, s.approx, hash, spec, func() (*rankagg.ApproxSession, error) {
 			if s.store != nil && s.store.Has(hash) {
 				if sess, _, err := s.store.RebuildApprox(hash); err == nil {
 					return sess, nil
 				}
 			}
 			return rankagg.NewApproxSession(d)
+		}, func() (*rankagg.ApproxSession, error) {
+			return rankagg.NewApproxSession(d)
+		}, func() []rankagg.Option {
+			s.metrics.encodeWorkers.Store(int64(tokens))
+			return []rankagg.Option{rankagg.WithWorkers(tokens)}
 		})
-		if err != nil {
-			return nil, 0, inputError{err}
-		}
-		sessHit = hit
-		version := sess.Version()
-		s.metrics.encodeWorkers.Store(int64(tokens))
-		// Pin the run to the request's hash: the cached session is dynamic,
-		// and a concurrent PATCH may rotate it away between the lookup above
-		// and the run — the pin fails under the session lock instead of
-		// mislabeling the result (or poisoning the consensus cache).
-		res, err := sess.RunSpecPinned(ctx, hash, spec, rankagg.WithWorkers(tokens))
-		if errors.Is(err, rankagg.ErrStalePairs) {
-			// Lost the race; serve from a private session over the request's
-			// own rankings rather than fighting over the cache entry.
-			sessHit = false
-			var priv *rankagg.ApproxSession
-			priv, err = rankagg.NewApproxSession(d)
-			if err != nil {
-				return nil, 0, inputError{err}
+	}
+	return runPinned(ctx, s.cache, hash, spec, func() (*rankagg.Session, error) {
+		if s.store != nil && s.store.Has(hash) {
+			if sess, _, err := s.store.Rebuild(hash); err == nil {
+				s.metrics.matrixBytes.Store(sess.MatrixBytes())
+				return sess, nil
 			}
-			version = priv.Version()
-			res, err = priv.RunSpec(ctx, spec, rankagg.WithWorkers(tokens))
 		}
+		sess, err := rankagg.NewSession(d, rankagg.WithMatrixMode(s.matrixMode))
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		if s.store != nil {
-			s.store.SaveConsensus(hash, specKey, store.WireFromResult(res))
+		sess.Pairs() // eager O(m·n²) build inside the single flight
+		s.metrics.matrixBytes.Store(sess.MatrixBytes())
+		return sess, nil
+	}, func() (*rankagg.Session, error) {
+		return rankagg.NewSession(d, rankagg.WithMatrixMode(s.matrixMode))
+	}, func() []rankagg.Option {
+		opts := []rankagg.Option{rankagg.WithWorkers(tokens)}
+		if rankagg.CanWarmStart(spec.Algorithm) {
+			// A PATCH on this dataset's ancestor left its best pre-PATCH
+			// consensus as a hint; spend it (consume-once) on this solve.
+			if hint := s.consensus.TakeWarmHint(hash); hint != nil {
+				opts = append(opts, rankagg.WithWarmStart(hint.Consensus))
+			}
 		}
-		return res, version, nil
+		return opts
 	})
-	if err != nil {
-		var ie inputError
-		switch {
-		case errors.As(err, &ie):
-			s.writeError(w, http.StatusBadRequest, ie.Error())
-		case errors.Is(err, context.Canceled):
-			if r.Context().Err() != nil {
-				s.metrics.cancels.Add(1)
-				w.WriteHeader(statusClientClosedRequest)
-			} else {
-				s.writeError(w, http.StatusServiceUnavailable, "the identical in-flight request this one coalesced with was cancelled; retry")
-			}
-		default:
-			s.log.Printf("approx aggregate %s on %s: %v", runName, hash, err)
-			s.writeError(w, http.StatusUnprocessableEntity, err.Error())
-		}
-		return
-	}
-	if res.DeadlineHit {
-		s.metrics.deadlineHits.Add(1)
-	}
-	resp := AggregateResponse{
-		Algorithm:    res.Algorithm,
-		Consensus:    res.Consensus,
-		Score:        res.Score,
-		DeadlineHit:  res.DeadlineHit,
-		ElapsedMS:    float64(time.Since(start).Nanoseconds()) / 1e6,
-		DatasetHash:  hash,
-		CacheHit:     consensusHit || sessHit,
-		ConsensusHit: consensusHit,
-		Approx:       true,
-		N:            d.N,
-		M:            d.M(),
-		Stats:        res.Stats,
-	}
-	if u != nil {
-		resp.ConsensusNames = rankings.BucketNames(res.Consensus, u)
-	}
-	w.Header().Set("X-Rankagg-Tier", "approx")
-	s.writeJSON(w, http.StatusOK, resp)
 }
+
+// servedSession is what the aggregate and PATCH flows need of either
+// tier's session (rankagg.Session, rankagg.ApproxSession).
+type servedSession interface {
+	Version() uint64
+	Hash() string
+	RunSpec(context.Context, rankagg.RunSpec, ...rankagg.Option) (*rankagg.Result, error)
+	RunSpecPinned(context.Context, string, rankagg.RunSpec, ...rankagg.Option) (*rankagg.Result, error)
+	ApplyDelta(add, remove []*rankings.Ranking) error
+}
+
+// runPinned runs spec on the session c caches under hash, building it on a
+// miss, and reports the result, the session version it ran at and whether
+// a ready entry answered the lookup. The response is labeled with hash, so
+// the run must happen on exactly that dataset — but the cached session is
+// dynamic, and a concurrent PATCH may rotate it away between the lookup and
+// the run. The run is pinned to hash under the session's own lock; on
+// losing that race it falls back to a private session over the request's
+// own rankings (the same cost as a plain cache miss) rather than fighting
+// over the cache entry. opts is called once the session is in hand.
+func runPinned[S servedSession](ctx context.Context, c *cache.LRU[S], hash string, spec rankagg.RunSpec, build, private func() (S, error), opts func() []rankagg.Option) (*rankagg.Result, uint64, bool, error) {
+	sess, hit, err := c.GetOrBuild(hash, build)
+	if err != nil {
+		// Session constructors reject only the request's own dataset.
+		return nil, 0, false, inputError{err}
+	}
+	version := sess.Version()
+	o := opts()
+	res, err := sess.RunSpecPinned(ctx, hash, spec, o...)
+	if !errors.Is(err, rankagg.ErrStalePairs) {
+		return res, version, hit, err
+	}
+	priv, err := private()
+	if err != nil {
+		return nil, 0, false, inputError{err}
+	}
+	res, err = priv.RunSpec(ctx, spec, o...)
+	return res, priv.Version(), false, err
+}
+
+// writeRunError maps a failed aggregation to its status: the request's own
+// dataset is a 400; a client that disconnected gets nginx's 499 (nobody
+// reads it, but the metrics must not count the aborted run as a 200); a
+// time budget spent queueing for a worker token is a 503, and so is a
+// request coalesced onto an identical one whose client disconnected; any
+// other run failure is a 422.
+func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, err error, algorithm, hash string) {
+	var ie inputError
+	switch {
+	case errors.As(err, &ie):
+		s.writeError(w, http.StatusBadRequest, ie.Error())
+	case errors.Is(err, context.Canceled):
+		if r.Context().Err() != nil {
+			s.metrics.cancels.Add(1)
+			w.WriteHeader(statusClientClosedRequest)
+		} else {
+			// This client is still here; a retry runs the solve itself.
+			s.writeError(w, http.StatusServiceUnavailable, "the identical in-flight request this one coalesced with was cancelled; retry")
+		}
+	case errors.Is(err, context.DeadlineExceeded):
+		s.metrics.queueRejects.Add(1)
+		s.writeError(w, http.StatusServiceUnavailable, "worker budget exhausted within the request's time budget")
+	default:
+		s.log.Printf("aggregate %s on %s: %v", algorithm, hash, err)
+		s.writeError(w, http.StatusUnprocessableEntity, err.Error())
+	}
+}
+
+// inputError marks a solve failure caused by the request's own dataset (a
+// session constructor's rejection inside the consensus single flight); the
+// flow maps it to 400 where run failures are 422.
+type inputError struct{ err error }
+
+func (e inputError) Error() string { return e.err.Error() }
+func (e inputError) Unwrap() error { return e.err }
 
 // PatchOp is one operation of a batch PATCH: exactly one of Add or Remove
 // must be set.
@@ -1022,22 +953,37 @@ type PatchResponse struct {
 	MatrixDeltas int `json:"matrix_deltas"`
 	// Approx reports the delta was absorbed by the approximation tier's
 	// incremental session state — O(n log n) per ranking, no pair matrix
-	// anywhere (approx-routed and toplists datasets, which admit partial
-	// adds). ApproxDeltas is that session's cumulative delta count.
+	// (approx-routed and toplists datasets, which admit partial adds, and
+	// complete datasets that were also run matrix-free, whose matrix
+	// session takes the same delta). ApproxDeltas is that session's
+	// cumulative delta count.
 	Approx       bool    `json:"approx,omitempty"`
 	ApproxDeltas int     `json:"approx_deltas,omitempty"`
 	ElapsedMS    float64 `json:"elapsed_ms"`
 }
 
 // handlePatchDataset applies one atomic delta to the dataset at the path
-// hash. For a persisted dataset the delta is write-ahead: it is validated
-// and appended (fsync'd) to the store's delta log BEFORE any in-memory
-// state moves, so a crash at any later point replays it deterministically
-// on restart — and a base session that fell out of the LRU is no longer a
-// 404, because the store holds the truth. For cache-only datasets the
-// pre-store behavior stands: the cached session mutates in place, re-keyed
-// to the rotated hash atomically with the mutation (cache.Mutate), and a
-// cache miss is a 404 falling back to a full POST.
+// hash, in one flow for every tier and both server kinds:
+//
+//  1. decode the body into one (add, remove) pair;
+//  2. resolve the current dataset: from the store when it holds the hash,
+//     else from a session cache (neither: 404, the client falls back to a
+//     full POST);
+//  3. re-check the matrix byte budget the delta could grow past;
+//  4. for a persisted dataset, validate the delta and append it to the
+//     store's delta log (fsync'd) BEFORE any in-memory state moves — the
+//     write-ahead point, so a crash at any later point replays it
+//     deterministically, and an evicted session is no 404 because the
+//     store holds the truth;
+//  5. offer the delta to every session cache that holds the hash
+//     (offerDelta): each entry mutates in place and re-keys to the rotated
+//     hash, and an entry whose own new hash disagrees with the store's —
+//     or, without a store, with the first session's — is dropped, so the
+//     next request rebuilds it;
+//  6. answer with the new hash.
+//
+// Without a store the first session to take the delta validates it: its
+// rejection is the client's error, and that session stays as it was.
 func (s *Server) handlePatchDataset(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	var req PatchRequest
@@ -1056,225 +1002,167 @@ func (s *Server) handlePatchDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	if s.store != nil && s.store.Has(hash) {
-		s.patchPersisted(w, hash, add, remove, start)
-		return
-	}
-	// Cache-only dataset (or no store at all): the session IS the truth.
-	// The response fields are captured inside the closure, while this
-	// request exclusively owns the detached entry: once Mutate re-inserts
-	// it, a concurrent PATCH may mutate the session again, and reading
-	// n/m/the counters afterwards would pair this request's hash with a
-	// later mutation's state.
-	var n, m, matrixBuilds, matrixDeltas int
-	var matrixBytes int64
-	var version uint64
-	_, newKey, found, err := s.cache.Mutate(hash, func(sess *rankagg.Session) (string, error) {
-		// A delta can promote the matrix backend (int16 → int32 when m
-		// crosses 32767), growing the allocation the dataset was admitted
-		// under — re-check the byte budget BEFORE mutating, so rejection
-		// leaves the session untouched and the entry restored. Promotions
-		// are one-way, so the post-delta size is at least the current one.
-		if err := s.checkDeltaBudget(sess.Dataset(), sess.MatrixBytes(), len(add), len(remove)); err != nil {
-			return "", err
-		}
-		if err := sess.ApplyDelta(add, remove); err != nil {
-			return "", err
-		}
-		d := sess.Dataset()
-		n, m = d.N, d.M()
-		matrixBuilds, matrixDeltas = sess.MatrixBuilds(), sess.MatrixDeltas()
-		matrixBytes = sess.MatrixBytes()
-		version = sess.Version()
-		return sess.Hash(), nil
-	})
-	if !found {
-		// Not a matrix-tier dataset — it may live in the approx tier
-		// (admission-routed, or an incomplete toplists dataset that can
-		// never hold a matrix at all).
-		s.patchApprox(w, hash, add, remove, start)
-		return
-	}
-	if err != nil {
-		s.writePatchError(w, err)
-		return
-	}
-	s.metrics.deltaApplied.Add(1)
-	// A delta can promote the backend (int16 → int32, tied-plane
-	// materialization); keep the gauge tracking the real size.
-	s.metrics.matrixBytes.Store(matrixBytes)
-	s.harvestWarmHint(hash, newKey, version)
-	w.Header().Set("Location", "/v1/datasets/"+newKey)
-	s.writeJSON(w, http.StatusOK, PatchResponse{
-		BaseHash:     hash,
-		DatasetHash:  newKey,
-		N:            n,
-		M:            m,
-		Added:        len(add),
-		Removed:      len(remove),
-		DeltaApplied: true,
-		MatrixBuilds: matrixBuilds,
-		MatrixDeltas: matrixDeltas,
-		ElapsedMS:    float64(time.Since(start).Nanoseconds()) / 1e6,
-	})
-}
 
-// patchApprox is the PATCH leg for cache-only approx-tier datasets: the
-// delta folds into the session's incremental aggregation state in
-// O(n log n) per ranking (multiset insert/delete per Lehmer coordinate,
-// signed score accumulation) — there is no matrix, so no byte-budget
-// re-check either. Partial adds are legal exactly when the dataset is a
-// toplists one (ApproxSession.ApplyDelta validates). The entry re-keys to
-// the rotated hash atomically, like the matrix leg; a miss here too is the
-// 404 the client answers with a full POST.
-func (s *Server) patchApprox(w http.ResponseWriter, hash string, add, remove []*rankings.Ranking, start time.Time) {
-	var n, m, approxDeltas int
-	var version uint64
-	_, newKey, found, err := s.approx.Mutate(hash, func(sess *rankagg.ApproxSession) (string, error) {
-		if err := sess.ApplyDelta(add, remove); err != nil {
-			return "", err
+	var d0 *rankings.Dataset
+	persisted := s.store != nil && s.store.Has(hash)
+	matrixSess, inMatrix := s.cache.Peek(hash)
+	switch {
+	case persisted:
+		if d0, _, err = s.store.Dataset(hash); err != nil {
+			s.writeRotated(w, hash)
+			return
 		}
-		d := sess.Dataset()
-		n, m = d.N, d.M()
-		approxDeltas = sess.DeltaCount()
-		version = sess.Version()
-		return sess.Hash(), nil
-	})
-	if !found {
-		s.metrics.deltaMisses.Add(1)
-		s.writeError(w, http.StatusNotFound,
-			fmt.Sprintf("dataset %s is not cached; POST the full dataset to /v1/aggregate, or PUT it to /v1/datasets to persist it", hash))
-		return
+	case inMatrix:
+		d0 = matrixSess.Dataset()
+	default:
+		approxSess, ok := s.approx.Peek(hash)
+		if !ok {
+			s.writeDeltaMiss(w, hash)
+			return
+		}
+		d0 = approxSess.Dataset()
 	}
-	if err != nil {
-		s.writePatchError(w, err)
-		return
-	}
-	s.metrics.deltaApplied.Add(1)
-	s.metrics.approxDeltas.Add(1)
-	s.harvestWarmHint(hash, newKey, version)
-	w.Header().Set("Location", "/v1/datasets/"+newKey)
-	s.writeJSON(w, http.StatusOK, PatchResponse{
-		BaseHash:     hash,
-		DatasetHash:  newKey,
-		N:            n,
-		M:            m,
-		Added:        len(add),
-		Removed:      len(remove),
-		DeltaApplied: true,
-		Approx:       true,
-		ApproxDeltas: approxDeltas,
-		ElapsedMS:    float64(time.Since(start).Nanoseconds()) / 1e6,
-	})
-}
-
-// patchPersisted is the PATCH leg for store-backed datasets: validate and
-// budget-check first (an append-then-reject would poison the log), append
-// the delta as ONE fsync'd log record — the write-ahead point — and only
-// then touch the cache. The cached session, if present, mutates through
-// the same ApplyDelta the store's validation mirrored; if it was evicted,
-// nothing rebuilds eagerly — the next aggregation reconstructs by replay.
-func (s *Server) patchPersisted(w http.ResponseWriter, hash string, add, remove []*rankings.Ranking, start time.Time) {
-	d0, _, err := s.store.Dataset(hash)
-	if err != nil {
-		s.writeError(w, http.StatusConflict,
-			fmt.Sprintf("dataset %s rotated concurrently; re-GET the dataset for its current hash", hash))
-		return
-	}
-	// Incomplete (toplists) datasets never build a matrix, so there is no
-	// byte budget to re-check — only the approx tier serves them.
-	if d0.Complete() {
+	// A delta can promote the matrix backend (int16 → int32 when m crosses
+	// 32767), growing the allocation the dataset was admitted under. The
+	// check guards the matrix a complete dataset holds now or, persisted,
+	// rebuilds on its next exact run; it runs before anything is logged or
+	// mutated, since promotions are one-way.
+	if d0.Complete() && (persisted || inMatrix) {
 		curBytes := int64(0)
-		if sess, ok := s.cache.Peek(hash); ok {
-			curBytes = sess.MatrixBytes()
+		if inMatrix {
+			curBytes = matrixSess.MatrixBytes()
 		}
 		if err := s.checkDeltaBudget(d0, curBytes, len(add), len(remove)); err != nil {
 			s.writePatchError(w, err)
 			return
 		}
 	}
-	newHash, info, err := s.store.AppendPatch(hash, add, remove)
-	if err != nil {
-		switch {
-		case errors.Is(err, store.ErrNotFound), errors.Is(err, store.ErrStaleHash):
-			s.writeError(w, http.StatusConflict,
-				fmt.Sprintf("dataset %s rotated concurrently; re-GET the dataset for its current hash", hash))
-		default:
-			s.writePatchError(w, err)
-		}
-		return
-	}
-	// The delta is durable. Apply it to the cached session too — and if
-	// the session somehow disagrees with the store (it cannot, short of a
-	// bug: both run the same validation and the same delta semantics), the
-	// store wins: drop the entry and let the next request rebuild by
-	// replay.
-	var matrixBuilds, matrixDeltas int
-	var matrixBytes int64
-	_, newKey, found, merr := s.cache.Mutate(hash, func(sess *rankagg.Session) (string, error) {
-		if err := sess.ApplyDelta(add, remove); err != nil {
-			return "", err
-		}
-		matrixBuilds, matrixDeltas = sess.MatrixBuilds(), sess.MatrixDeltas()
-		matrixBytes = sess.MatrixBytes()
-		return sess.Hash(), nil
-	})
-	if found && merr == nil {
-		s.metrics.matrixBytes.Store(matrixBytes)
-		if newKey != newHash {
-			s.cache.Remove(newKey)
-			found = false
-		}
-	} else if found {
-		s.cache.Remove(hash)
-		found = false
-	}
-	if !found {
-		matrixBuilds, matrixDeltas = 0, 0
-	}
-	// The approx-tier session, if cached, absorbs the same delta through
-	// its incremental state — with the same store-wins rule on any
-	// disagreement: drop the entry and let the next aggregation rebuild by
-	// delta-log replay (which runs this very delta path).
-	var approxDeltas int
-	approxApplied := false
-	_, aKey, aFound, aErr := s.approx.Mutate(hash, func(sess *rankagg.ApproxSession) (string, error) {
-		if err := sess.ApplyDelta(add, remove); err != nil {
-			return "", err
-		}
-		approxDeltas = sess.DeltaCount()
-		return sess.Hash(), nil
-	})
-	switch {
-	case aFound && aErr == nil && aKey == newHash:
-		approxApplied = true
-		s.metrics.approxDeltas.Add(1)
-	case aFound && aErr == nil:
-		s.approx.Remove(aKey)
-	case aFound:
-		s.approx.Remove(hash)
-	}
-	if !approxApplied {
-		approxDeltas = 0
-	}
-	s.metrics.deltaApplied.Add(1)
-	s.harvestWarmHint(hash, newHash, info.Version)
-	w.Header().Set("Location", "/v1/datasets/"+newHash)
-	s.writeJSON(w, http.StatusOK, PatchResponse{
+	resp := PatchResponse{
 		BaseHash:     hash,
-		DatasetHash:  newHash,
-		N:            info.N,
-		M:            info.M,
+		N:            d0.N,
+		M:            d0.M() - len(remove) + len(add),
 		Added:        len(add),
 		Removed:      len(remove),
 		DeltaApplied: true,
-		Persisted:    true,
-		MatrixBuilds: matrixBuilds,
-		MatrixDeltas: matrixDeltas,
-		Approx:       approxApplied,
-		ApproxDeltas: approxDeltas,
-		ElapsedMS:    float64(time.Since(start).Nanoseconds()) / 1e6,
+		Persisted:    persisted,
+	}
+	var newHash string
+	var version uint64
+	if persisted {
+		var info store.DatasetInfo
+		if newHash, info, err = s.store.AppendPatch(hash, add, remove); err != nil {
+			if errors.Is(err, store.ErrNotFound) || errors.Is(err, store.ErrStaleHash) {
+				s.writeRotated(w, hash)
+			} else {
+				s.writePatchError(w, err)
+			}
+			return
+		}
+		version = info.Version
+	}
+
+	// The response fields are captured inside the mutations, while this
+	// request exclusively owns the detached entry: once it is re-inserted,
+	// a concurrent PATCH may mutate the session again, and reading the
+	// counters afterwards would pair this request's hash with a later
+	// mutation's state. Without a store, the warm hint carries the version
+	// of the session that validated the delta.
+	var matrixBytes int64
+	key, applied, err := offerDelta(s.cache, hash, newHash, add, remove, func(sess *rankagg.Session) {
+		resp.MatrixBuilds, resp.MatrixDeltas = sess.MatrixBuilds(), sess.MatrixDeltas()
+		matrixBytes = sess.MatrixBytes()
+		if newHash == "" {
+			version = sess.Version()
+		}
 	})
+	if err != nil {
+		s.writePatchError(w, err)
+		return
+	}
+	if applied {
+		newHash = key
+		// A delta can promote the backend (int16 → int32, tied-plane
+		// materialization); keep the gauge tracking the real size.
+		s.metrics.matrixBytes.Store(matrixBytes)
+	} else {
+		resp.MatrixBuilds, resp.MatrixDeltas = 0, 0
+	}
+	key, applied, err = offerDelta(s.approx, hash, newHash, add, remove, func(sess *rankagg.ApproxSession) {
+		resp.ApproxDeltas = sess.DeltaCount()
+		if newHash == "" {
+			version = sess.Version()
+		}
+	})
+	if err != nil {
+		s.writePatchError(w, err)
+		return
+	}
+	if applied {
+		newHash = key
+		resp.Approx = true
+		s.metrics.approxDeltas.Add(1)
+	} else {
+		resp.ApproxDeltas = 0
+	}
+	if newHash == "" {
+		// Evicted between the lookup and the mutation.
+		s.writeDeltaMiss(w, hash)
+		return
+	}
+	s.metrics.deltaApplied.Add(1)
+	s.harvestWarmHint(hash, newHash, version)
+	resp.DatasetHash = newHash
+	resp.ElapsedMS = float64(time.Since(start).Nanoseconds()) / 1e6
+	w.Header().Set("Location", "/v1/datasets/"+newHash)
+	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// offerDelta applies one delta to the session c caches under hash, if it
+// holds one, and re-keys the entry to the session's new hash (cache
+// Mutate); read captures response fields from the session while the
+// request owns the detached entry. want is the hash the delta must produce:
+// the store's, or an earlier session's. An entry that rejects the delta,
+// or lands on another hash, is dropped — the store wins, and the next
+// request rebuilds the session by replay. With no want yet, this session
+// is the one that validates the delta: its rejection is returned, and
+// Mutate restores the entry untouched. applied reports that the entry
+// took the delta and now lives under newHash.
+func offerDelta[S servedSession](c *cache.LRU[S], hash, want string, add, remove []*rankings.Ranking, read func(S)) (newHash string, applied bool, err error) {
+	_, newHash, found, err := c.Mutate(hash, func(sess S) (string, error) {
+		if err := sess.ApplyDelta(add, remove); err != nil {
+			return "", err
+		}
+		read(sess)
+		return sess.Hash(), nil
+	})
+	switch {
+	case !found:
+		return "", false, nil
+	case err != nil && want == "":
+		return "", false, err
+	case err != nil:
+		c.Remove(hash)
+		return "", false, nil
+	case want != "" && newHash != want:
+		c.Remove(newHash)
+		return "", false, nil
+	}
+	return newHash, true, nil
+}
+
+// writeRotated answers a PATCH whose persisted dataset rotated away between
+// the lookup and the append.
+func (s *Server) writeRotated(w http.ResponseWriter, hash string) {
+	s.writeError(w, http.StatusConflict,
+		fmt.Sprintf("dataset %s rotated concurrently; re-GET the dataset for its current hash", hash))
+}
+
+// writeDeltaMiss answers a PATCH of a dataset that is neither persisted nor
+// cached.
+func (s *Server) writeDeltaMiss(w http.ResponseWriter, hash string) {
+	s.metrics.deltaMisses.Add(1)
+	s.writeError(w, http.StatusNotFound,
+		fmt.Sprintf("dataset %s is not cached; POST the full dataset to /v1/aggregate, or PUT it to /v1/datasets to persist it", hash))
 }
 
 // checkDeltaBudget re-checks the matrix byte budget a delta could grow
@@ -1545,7 +1433,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // copy-on-write per session — but the O(n²) re-packs cost CPU, which is
 // why StartCompactor only sweeps an idle server.
 func (s *Server) CompactNow() (compacted int, reclaimed int64) {
-	return s.cache.CompactSweep()
+	return cache.CompactSweep(s.cache)
 }
 
 // StartCompactor launches the idle-time re-compaction loop: every interval
@@ -1569,7 +1457,7 @@ func (s *Server) StartCompactor(interval time.Duration) (stop func()) {
 				return
 			case <-t.C:
 				if s.metrics.inFlight.Load() == 0 {
-					s.cache.CompactSweep()
+					cache.CompactSweep(s.cache)
 				}
 			}
 		}
@@ -1587,7 +1475,8 @@ func (s *Server) StartCompactor(interval time.Duration) (stop func()) {
 // degrade toward one worker each — the total never exceeds the budget.
 // Tokens are held for the whole run: later arrivals queue here within
 // their own time budget. It fails when ctx dies first (client disconnect
-// or time budget spent queueing).
+// or time budget spent queueing). An admitted aggregation counts in flight
+// until releaseWorkers.
 func (s *Server) acquireWorkers(ctx context.Context) (int, error) {
 	select {
 	case s.tokens <- struct{}{}:
@@ -1605,10 +1494,14 @@ func (s *Server) acquireWorkers(ctx context.Context) (int, error) {
 		break
 	}
 	s.metrics.tokensInUse.Add(int64(n))
+	s.metrics.inFlight.Add(1)
 	return n, nil
 }
 
+// releaseWorkers returns the tokens of one aggregation acquireWorkers
+// admitted and ends its in-flight count.
 func (s *Server) releaseWorkers(n int) {
+	s.metrics.inFlight.Add(-1)
 	s.metrics.tokensInUse.Add(int64(-n))
 	for i := 0; i < n; i++ {
 		<-s.tokens

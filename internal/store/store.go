@@ -295,7 +295,7 @@ func (s *Store) openDataset(dir string) (*dataset, error) {
 			tombstoned = true
 			break
 		}
-		next, err := applyDelta(ds.cur, rec.Add, rec.Remove)
+		next, _, err := rankings.ApplyDelta(ds.cur, rec.Add, rec.Remove)
 		if err != nil {
 			// A record that no longer applies can only come from
 			// corruption that passed the checksum; treat it — and
@@ -514,9 +514,10 @@ func (s *Store) Create(d *rankings.Dataset, names []string) (hash string, create
 // write-ahead point), rotates the dataset to its new content hash, rotates
 // the persisted consensus file (best stored entry demoted to the new
 // hash's warm hint), and folds the log into a fresh snapshot when it
-// exceeds the replay budget. Validation mirrors Session.ApplyDelta exactly
-// — same matching, same ordering, same sentinel errors — so the store and
-// a cached session can never diverge on what a delta means.
+// exceeds the replay budget. Validation is the delta rule both session
+// tiers apply (rankings.ApplyDelta) — same matching, same ordering, same
+// sentinel errors — so the store and a cached session can never diverge on
+// what a delta means.
 func (s *Store) AppendPatch(hash string, add, remove []*rankings.Ranking) (newHash string, info DatasetInfo, err error) {
 	ds, ok := s.lookup(hash)
 	if !ok {
@@ -530,7 +531,7 @@ func (s *Store) AppendPatch(hash string, add, remove []*rankings.Ranking) (newHa
 	if ds.failed {
 		return "", DatasetInfo{}, ErrLogDiverged
 	}
-	next, err := applyDelta(ds.cur, add, remove)
+	next, _, err := rankings.ApplyDelta(ds.cur, add, remove)
 	if err != nil {
 		return "", DatasetInfo{}, err
 	}
@@ -673,40 +674,13 @@ func (s *Store) Dataset(hash string) (*rankings.Dataset, []string, error) {
 // original process held (and Pairs.Equal to a fresh build of the final
 // dataset). The replay is counted and timed in Stats.
 func (s *Store) Rebuild(hash string) (*rankagg.Session, []string, error) {
-	ds, ok := s.lookup(hash)
-	if !ok {
-		return nil, nil, ErrNotFound
-	}
-	ds.mu.Lock()
-	if ds.deleted || ds.curHash != hash {
-		ds.mu.Unlock()
-		return nil, nil, ErrStaleHash
-	}
-	base := ds.base
-	names := ds.names
-	pending := append([]logRecord(nil), ds.pending...)
-	ds.mu.Unlock()
-
-	// The O(m·n²) build and O(n²)-per-record replay run outside every
-	// lock; the state captured above is immutable (mutations replace the
-	// slices, never modify them).
-	start := time.Now()
-	sess, err := rankagg.NewSession(base, rankagg.WithMatrixMode(s.matrixMode))
-	if err != nil {
-		return nil, nil, fmt.Errorf("store: rebuilding %s: %w", hash, err)
-	}
-	sess.Pairs()
-	for _, rec := range pending {
-		if err := sess.ApplyDelta(rec.Add, rec.Remove); err != nil {
-			return nil, nil, fmt.Errorf("store: replaying %s (seq %d): %w", hash, rec.Seq, err)
+	return rebuild(s, hash, func(base *rankings.Dataset) (*rankagg.Session, error) {
+		sess, err := rankagg.NewSession(base, rankagg.WithMatrixMode(s.matrixMode))
+		if err == nil {
+			sess.Pairs()
 		}
-	}
-	if got := sess.Hash(); got != hash {
-		return nil, nil, fmt.Errorf("store: replay of %s reconstructed hash %s (%w)", hash, got, ErrStaleHash)
-	}
-	s.replays.Add(1)
-	s.replayNanos.Add(time.Since(start).Nanoseconds())
-	return sess, names, nil
+		return sess, err
+	})
 }
 
 // RebuildApprox reconstructs the approximation-tier session of the dataset
@@ -717,32 +691,51 @@ func (s *Store) Rebuild(hash string) (*rankagg.Session, []string, error) {
 // toplists datasets where Rebuild's matrix session would reject them. The
 // replay is counted and timed in Stats alongside matrix rebuilds.
 func (s *Store) RebuildApprox(hash string) (*rankagg.ApproxSession, []string, error) {
+	return rebuild(s, hash, func(base *rankings.Dataset) (*rankagg.ApproxSession, error) {
+		return rankagg.NewApproxSession(base)
+	})
+}
+
+// replayable is what a rebuild needs of either tier's session.
+type replayable interface {
+	ApplyDelta(add, remove []*rankings.Ranking) error
+	Hash() string
+}
+
+// rebuild is the body of Rebuild and RebuildApprox: open a session over
+// the base snapshot, replay the pending log records through its ApplyDelta,
+// and check it lands on hash.
+func rebuild[S replayable](s *Store, hash string, open func(*rankings.Dataset) (S, error)) (S, []string, error) {
+	var none S
 	ds, ok := s.lookup(hash)
 	if !ok {
-		return nil, nil, ErrNotFound
+		return none, nil, ErrNotFound
 	}
 	ds.mu.Lock()
 	if ds.deleted || ds.curHash != hash {
 		ds.mu.Unlock()
-		return nil, nil, ErrStaleHash
+		return none, nil, ErrStaleHash
 	}
 	base := ds.base
 	names := ds.names
 	pending := append([]logRecord(nil), ds.pending...)
 	ds.mu.Unlock()
 
+	// The session build (O(m·n²) for a matrix) and the replay run outside
+	// every lock; the state captured above is immutable (mutations replace
+	// the slices, never modify them).
 	start := time.Now()
-	sess, err := rankagg.NewApproxSession(base)
+	sess, err := open(base)
 	if err != nil {
-		return nil, nil, fmt.Errorf("store: rebuilding %s: %w", hash, err)
+		return none, nil, fmt.Errorf("store: rebuilding %s: %w", hash, err)
 	}
 	for _, rec := range pending {
 		if err := sess.ApplyDelta(rec.Add, rec.Remove); err != nil {
-			return nil, nil, fmt.Errorf("store: replaying %s (seq %d): %w", hash, rec.Seq, err)
+			return none, nil, fmt.Errorf("store: replaying %s (seq %d): %w", hash, rec.Seq, err)
 		}
 	}
 	if got := sess.Hash(); got != hash {
-		return nil, nil, fmt.Errorf("store: replay of %s reconstructed hash %s (%w)", hash, got, ErrStaleHash)
+		return none, nil, fmt.Errorf("store: replay of %s reconstructed hash %s (%w)", hash, got, ErrStaleHash)
 	}
 	s.replays.Add(1)
 	s.replayNanos.Add(time.Since(start).Nanoseconds())
@@ -866,63 +859,4 @@ func (s *Store) Stats() Stats {
 		st.Bytes += info.Bytes
 	}
 	return st
-}
-
-// applyDelta applies one atomic delta to d, returning the new dataset:
-// removals matched by bucket-order equality (each dataset ranking consumed
-// at most once) and applied before the additions, which append in order —
-// Session.ApplyDelta's exact semantics and sentinel errors (and, on
-// incomplete datasets, ApproxSession.ApplyDelta's partial-add rule), so the
-// store and a cached session always agree on a delta's meaning and its
-// resulting content hash.
-func applyDelta(d *rankings.Dataset, add, remove []*rankings.Ranking) (*rankings.Dataset, error) {
-	complete := d.Complete()
-	for _, r := range add {
-		if r == nil {
-			return nil, fmt.Errorf("store: nil ranking in delta")
-		}
-		if err := r.Validate(); err != nil {
-			return nil, err
-		}
-		if r.Len() == 0 {
-			return nil, fmt.Errorf("store: empty ranking in delta")
-		}
-		if r.MaxElement() >= d.N {
-			return nil, fmt.Errorf("store: added ranking %s exceeds the dataset universe of %d elements", r, d.N)
-		}
-		// A complete dataset must stay complete (one partial ranking would
-		// invalidate the matrix tier's fast paths); a toplists dataset
-		// absorbs partial rankings — ApproxSession.ApplyDelta's exact rule.
-		if complete && r.Len() != d.N {
-			return nil, fmt.Errorf("store: added ranking %s must cover the complete dataset's universe of %d elements (partial adds apply only to toplists datasets)", r, d.N)
-		}
-	}
-	dropped := make([]bool, len(d.Rankings))
-	for _, r := range remove {
-		if r == nil {
-			return nil, fmt.Errorf("store: nil ranking in delta")
-		}
-		found := -1
-		for i, have := range d.Rankings {
-			if !dropped[i] && have.Equal(r) {
-				found = i
-				break
-			}
-		}
-		if found < 0 {
-			return nil, fmt.Errorf("%w: %s", rankagg.ErrRankingNotFound, r)
-		}
-		dropped[found] = true
-	}
-	if len(d.Rankings)-len(remove)+len(add) == 0 {
-		return nil, rankagg.ErrDatasetEmptied
-	}
-	rks := make([]*rankings.Ranking, 0, len(d.Rankings)-len(remove)+len(add))
-	for i, r := range d.Rankings {
-		if !dropped[i] {
-			rks = append(rks, r)
-		}
-	}
-	rks = append(rks, add...)
-	return &rankings.Dataset{N: d.N, Rankings: rks}, nil
 }

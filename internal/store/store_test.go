@@ -12,6 +12,14 @@ import (
 	"rankagg/internal/rankings"
 )
 
+// applyDelta is the delta rule the store applies (rankings.ApplyDelta),
+// without the matched rankings: the mirror the tests check the store
+// against.
+func applyDelta(d *rankings.Dataset, add, remove []*rankings.Ranking) (*rankings.Dataset, error) {
+	next, _, err := rankings.ApplyDelta(d, add, remove)
+	return next, err
+}
+
 func randRanking(rng *rand.Rand, n int) *rankings.Ranking {
 	perm := rng.Perm(n)
 	var buckets [][]int

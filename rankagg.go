@@ -161,7 +161,9 @@ func Aggregate(name string, d *Dataset) (*Ranking, error) {
 // several algorithms run on the SAME dataset, build it once with NewPairs
 // and pass it to every call. The matrix is immutable and safe for
 // concurrent readers: one matrix may serve parallel aggregations. p must be
-// the pair matrix of d (pass nil to let the algorithm build its own).
+// the pair matrix of d (pass nil to let the algorithm build its own); a
+// matrix built from an incomplete dataset cannot be, and is rejected with
+// the same error as an incomplete d.
 //
 // It is a thin convenience over Session.Run, which does the build-once
 // bookkeeping automatically (the session caches the matrix after the first

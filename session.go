@@ -10,6 +10,7 @@ import (
 	"rankagg/internal/approx"
 	"rankagg/internal/core"
 	"rankagg/internal/kendall"
+	"rankagg/internal/rankings"
 )
 
 // Session is the context-aware entry point for aggregating one dataset. It
@@ -52,14 +53,15 @@ type Session struct {
 var (
 	// ErrStalePairs rejects a WithPairs matrix captured before a session
 	// mutation: its counts no longer describe the session's dataset.
-	// Re-obtain the current matrix from Session.Pairs.
+	// Re-obtain the current matrix from Session.Pairs. A pinned run
+	// (RunSpecPinned) whose dataset has rotated away fails with it too.
 	ErrStalePairs = errors.New("rankagg: stale pair matrix")
 	// ErrRankingNotFound rejects the removal of a ranking that is not in
 	// the session's dataset.
-	ErrRankingNotFound = errors.New("rankagg: ranking not found in dataset")
+	ErrRankingNotFound = rankings.ErrRankingNotFound
 	// ErrDatasetEmptied rejects a delta that would leave the dataset with
 	// no rankings at all.
-	ErrDatasetEmptied = errors.New("rankagg: delta would leave the dataset empty")
+	ErrDatasetEmptied = rankings.ErrDatasetEmptied
 	// ErrMatrixFreePairs rejects a per-run WithPairs matrix on an
 	// approximation-tier run (lehmer, avgrank, scores): matrix-free
 	// algorithms never read pair counts, so a supplied matrix signals a
@@ -317,10 +319,12 @@ func (s *Session) RemoveRanking(r *Ranking) error {
 	return s.ApplyDelta(nil, []*Ranking{r})
 }
 
-// ApplyDelta mutates the session's dataset atomically: every ranking of
-// remove is matched (by Ranking.Equal, each dataset ranking consumed at
-// most once) and dropped, then every ranking of add is appended, in
-// order. Validation happens up front — on any error nothing is changed.
+// ApplyDelta mutates the session's dataset atomically under the shared
+// delta rule (rankings.ApplyDelta): every ranking of remove is matched (by
+// Ranking.Equal, each dataset ranking consumed at most once) and dropped,
+// then every ranking of add, which must cover the whole universe, is
+// appended, in order. Validation happens up front — on any error nothing
+// is changed.
 //
 // The cached pair matrix is updated by one clone plus one O(n²)
 // Pairs.Add/Remove per ranking instead of an O(m·n²) rebuild
@@ -335,55 +339,16 @@ func (s *Session) ApplyDelta(add, remove []*Ranking) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, r := range add {
-		if r == nil {
-			return fmt.Errorf("rankagg: nil ranking in delta")
-		}
-		if err := r.Validate(); err != nil {
-			return err
-		}
-		if r.MaxElement() >= s.d.N || r.Len() != s.d.N {
-			return fmt.Errorf("rankagg: added ranking %s must cover exactly the session universe of %d elements (normalize first)",
-				r, s.d.N)
-		}
+	next, removed, err := rankings.ApplyDelta(s.d, add, remove)
+	if err != nil {
+		return err
 	}
-	dropped := make([]bool, len(s.d.Rankings))
-	for _, r := range remove {
-		if r == nil {
-			return fmt.Errorf("rankagg: nil ranking in delta")
-		}
-		found := -1
-		for i, have := range s.d.Rankings {
-			if !dropped[i] && have.Equal(r) {
-				found = i
-				break
-			}
-		}
-		if found < 0 {
-			return fmt.Errorf("%w: %s", ErrRankingNotFound, r)
-		}
-		dropped[found] = true
-	}
-	if len(s.d.Rankings)-len(remove)+len(add) == 0 {
-		return ErrDatasetEmptied
-	}
-
-	rks := make([]*Ranking, 0, len(s.d.Rankings)-len(remove)+len(add))
-	for i, r := range s.d.Rankings {
-		if !dropped[i] {
-			rks = append(rks, r)
-		}
-	}
-	rks = append(rks, add...)
-
 	if s.pairs != nil {
 		// One clone covers the whole batch; each ranking is then an O(n²)
 		// signed accumulation. In-flight readers keep the old matrix.
 		np := s.pairs.Clone()
-		for i, r := range s.d.Rankings {
-			if dropped[i] {
-				np.Remove(r)
-			}
+		for _, r := range removed {
+			np.Remove(r)
 		}
 		for _, r := range add {
 			np.Add(r)
@@ -391,7 +356,7 @@ func (s *Session) ApplyDelta(add, remove []*Ranking) error {
 		s.pairs = np
 		s.deltas++
 	}
-	s.d = &Dataset{N: s.d.N, Rankings: rks}
+	s.d = next
 	s.version += uint64(len(add) + len(remove))
 	if s.pairs != nil {
 		// Add/Remove bumped the clone once per ranking; keep the invariant
@@ -511,7 +476,7 @@ func (s *Session) Run(ctx context.Context, name string, opts ...Option) (*Result
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return s.run(ctx, a, cfg)
+	return s.run(ctx, a, cfg, "")
 }
 
 // RunSpec executes the run described by a canonical RunSpec (the form
@@ -524,6 +489,21 @@ func (s *Session) Run(ctx context.Context, name string, opts ...Option) (*Result
 // for the per-run knobs a spec does not carry (WithPairs, WithWarmStart).
 // Semantics are otherwise exactly Run's.
 func (s *Session) RunSpec(ctx context.Context, spec RunSpec, opts ...Option) (*Result, error) {
+	return s.runSpec(ctx, "", spec, opts)
+}
+
+// RunSpecPinned is RunSpec with a dataset pin: the run executes only while
+// the session's dataset still hashes to hash, failing with ErrStalePairs
+// otherwise. The check happens under the same lock that picks the dataset
+// and its matrix, so a serving layer that labels its response (and keys
+// its consensus cache) with the hash it looked the session up by never
+// attaches a result to another dataset when a concurrent ApplyDelta
+// rotates the session between the lookup and the run.
+func (s *Session) RunSpecPinned(ctx context.Context, hash string, spec RunSpec, opts ...Option) (*Result, error) {
+	return s.runSpec(ctx, hash, spec, opts)
+}
+
+func (s *Session) runSpec(ctx context.Context, pin string, spec RunSpec, opts []Option) (*Result, error) {
 	norm, err := spec.Normalize()
 	if err != nil {
 		return nil, err
@@ -538,18 +518,23 @@ func (s *Session) RunSpec(ctx context.Context, spec RunSpec, opts ...Option) (*R
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return s.run(ctx, a, cfg)
+	return s.run(ctx, a, cfg, pin)
 }
 
-// run is the shared body of Run and RunSpec.
-func (s *Session) run(ctx context.Context, a core.Aggregator, cfg runConfig) (*Result, error) {
+// run is the shared body of Run and RunSpec. A non-empty pin is the hash
+// the current dataset must still match, verified under the run lock.
+func (s *Session) run(ctx context.Context, a core.Aggregator, cfg runConfig, pin string) (*Result, error) {
 	if core.IsMatrixFree(a) {
-		return s.runMatrixFree(ctx, a, cfg)
+		return s.runMatrixFree(ctx, a, cfg, pin)
 	}
 	start := time.Now()
 	// Snapshot dataset and matrix together under the lock: a concurrent
 	// mutation replaces both, so the pair this run sees is consistent.
 	s.mu.Lock()
+	if err := s.checkPinLocked(pin); err != nil {
+		s.mu.Unlock()
+		return nil, err
+	}
 	d := s.d
 	p := cfg.pairs
 	if p == nil {
@@ -584,14 +569,33 @@ func (s *Session) run(ctx context.Context, a core.Aggregator, cfg runConfig) (*R
 // of L elements — so a session
 // serving only approx runs never pays the O(m·n²) build or the O(n²)
 // memory.
-func (s *Session) runMatrixFree(ctx context.Context, a core.Aggregator, cfg runConfig) (*Result, error) {
+func (s *Session) runMatrixFree(ctx context.Context, a core.Aggregator, cfg runConfig, pin string) (*Result, error) {
 	if cfg.pairs != nil {
 		return nil, fmt.Errorf("%w: %s never reads pair counts; drop the WithPairs option", ErrMatrixFreePairs, a.Name())
 	}
 	s.mu.Lock()
+	err := s.checkPinLocked(pin)
 	d := s.d
 	s.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 	return runMatrixFree(ctx, a, d, cfg)
+}
+
+// checkPinLocked fails with ErrStalePairs when pin is set and the current
+// dataset no longer hashes to it. Callers hold s.mu.
+func (s *Session) checkPinLocked(pin string) error {
+	if pin == "" {
+		return nil
+	}
+	if s.hash == "" {
+		s.hash = s.d.Hash()
+	}
+	if s.hash != pin {
+		return fmt.Errorf("%w: the session's dataset rotated to %s", ErrStalePairs, s.hash)
+	}
+	return nil
 }
 
 // RunMatrixFree executes a matrix-free approximation-tier algorithm (see

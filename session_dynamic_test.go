@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"rankagg/internal/core"
 	"rankagg/internal/gen"
 	"rankagg/internal/kendall"
 )
@@ -363,5 +364,79 @@ func TestSessionCompactRace(t *testing.T) {
 	}
 	if !s.Pairs().Equal(kendall.NewPairs(d)) {
 		t.Fatal("compacted matrix differs from a fresh build of the dataset")
+	}
+}
+
+// TestCallerMatrixMustBeComplete: a pair matrix built from an incomplete
+// dataset is never the matrix of the complete dataset an aggregator takes,
+// so both entries for a caller's matrix — AggregateWithPairs and a
+// session's WithPairs — reject it with core.ErrIncomplete instead of
+// running on it.
+func TestCallerMatrixMustBeComplete(t *testing.T) {
+	d := NewDataset(3,
+		NewRanking([]int{0}, []int{1, 2}),
+		NewRanking([]int{2}, []int{0}, []int{1}),
+	)
+	p := NewPairs(NewDataset(3,
+		NewRanking([]int{0}, []int{1}), // element 2 missing
+		NewRanking([]int{2}, []int{0}, []int{1}),
+	))
+	for _, name := range []string{"BioConsert", "Anneal", "KwikSortMin", "BordaCount", "ExactAlgorithm"} {
+		if _, err := AggregateWithPairs(name, d, p); !errors.Is(err, core.ErrIncomplete) {
+			t.Errorf("AggregateWithPairs(%s, incomplete matrix) = %v, want ErrIncomplete", name, err)
+		}
+	}
+	sess, err := NewSession(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Run(context.Background(), "BioConsert", WithPairs(p)); !errors.Is(err, core.ErrIncomplete) {
+		t.Errorf("Run(WithPairs(incomplete matrix)) = %v, want ErrIncomplete", err)
+	}
+	seeded, err := NewSession(d, WithPairs(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seeded.Run(context.Background(), "BioConsert"); !errors.Is(err, core.ErrIncomplete) {
+		t.Errorf("session seeded with an incomplete matrix: Run = %v, want ErrIncomplete", err)
+	}
+}
+
+// TestRunSpecPinned: a pinned run executes only while the session's
+// dataset still hashes to the pin, on both session tiers; after a delta
+// rotates the dataset the old pin fails with ErrStalePairs and the new hash
+// runs.
+func TestRunSpecPinned(t *testing.T) {
+	d := sessionTestDataset(t, 4, 6, 71)
+	sess := newTestSession(t, d)
+	asess, err := NewApproxSession(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := d.Hash()
+	for _, tc := range []struct {
+		alg string
+		run func(hash string) (*Result, error)
+		add func() error
+	}{
+		{"BordaCount", func(h string) (*Result, error) {
+			return sess.RunSpecPinned(context.Background(), h, RunSpec{Algorithm: "BordaCount"})
+		}, func() error { return sess.AddRanking(d.Rankings[0]) }},
+		{"lehmer", func(h string) (*Result, error) {
+			return asess.RunSpecPinned(context.Background(), h, RunSpec{Algorithm: "lehmer"})
+		}, func() error { return asess.AddRanking(d.Rankings[0]) }},
+	} {
+		if _, err := tc.run(old); err != nil {
+			t.Fatalf("%s pinned to the current hash: %v", tc.alg, err)
+		}
+		if err := tc.add(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tc.run(old); !errors.Is(err, ErrStalePairs) {
+			t.Errorf("%s pinned to a rotated-away hash: %v, want ErrStalePairs", tc.alg, err)
+		}
+	}
+	if res, err := sess.RunSpecPinned(context.Background(), sess.Hash(), RunSpec{Algorithm: "BordaCount"}); err != nil || res.Score != Score(res.Consensus, sess.Dataset()) {
+		t.Errorf("BordaCount pinned to the rotated hash: %v", err)
 	}
 }
