@@ -162,7 +162,8 @@ func main() {
 	}
 	var res *rankagg.Result
 	if approxTier {
-		res, err = rankagg.RunMatrixFreeSpec(ctx, spec, d, append(opts, rankagg.WithWorkers(*workers))...)
+		// Matrix-free algorithms read no seed and no restarts.
+		res, err = rankagg.RunMatrixFree(ctx, spec.Algorithm, d, append(opts, rankagg.WithWorkers(*workers))...)
 	} else {
 		var sess *rankagg.Session
 		sess, err = rankagg.NewSession(d, rankagg.WithWorkers(*workers))

@@ -17,10 +17,11 @@
 // /v1/datasets/{hash} (apply an atomic batch of ranking deltas in O(n²)
 // per ranking; the response and Location header carry the rotated dataset
 // hash), GET /v1/datasets/{hash} (dataset metadata), DELETE
-// /v1/datasets/{hash}, POST /v1/aggregate (inline-dataset compatibility
-// alias), GET /v1/algorithms, GET /healthz, GET /metrics (Prometheus text
-// format). See the README's Serving and "Persistence & dataset API"
-// sections for the request schemas and curl examples.
+// /v1/datasets/{hash}, POST /v1/aggregate (aggregate an inline dataset),
+// GET /v1/algorithms, GET /healthz, GET /metrics (Prometheus text
+// format). Aggregate bodies name their run in a nested "spec" object and
+// PATCH bodies carry "ops". See the README's Serving and "Persistence &
+// dataset API" sections for the request schemas and curl examples.
 //
 // With -data-dir, datasets PUT to /v1/datasets persist across restarts:
 // each one keeps a wire-form snapshot plus an fsync'd append-only delta

@@ -58,7 +58,7 @@ func overBudgetRequest(algorithm string) server.AggregateRequest {
 		rev[i] = overBudgetN - 1 - i
 	}
 	return server.AggregateRequest{
-		Algorithm: algorithm,
+		Spec: &rankagg.RunSpec{Algorithm: algorithm},
 		DatasetWire: rankings.DatasetWire{
 			N:        overBudgetN,
 			Rankings: []*rankings.Ranking{rankings.FromPermutation(perm), rankings.FromPermutation(rev)},
@@ -202,8 +202,8 @@ func TestRoutingNeedsApproxBudget(t *testing.T) {
 func TestTopListsEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	req := server.AggregateRequest{
-		Algorithm: "BioConsert", // substituted: top-lists are incomplete
-		TopLists:  [][]int{{0, 1}, {0, 2}, {1, 0}},
+		Spec:     &rankagg.RunSpec{Algorithm: "BioConsert"}, // substituted: top-lists are incomplete
+		TopLists: [][]int{{0, 1}, {0, 2}, {1, 0}},
 	}
 	req.Names = []string{"A", "B", "C"}
 	resp, data := postAggregate(t, ts.URL, req)
@@ -226,7 +226,7 @@ func TestTopListsEndToEnd(t *testing.T) {
 	}
 
 	// Explicit approx algorithm on top-lists needs no substitution.
-	resp, data = postAggregate(t, ts.URL, server.AggregateRequest{Algorithm: "scores", TopLists: [][]int{{1, 0}, {1, 2}}})
+	resp, data = postAggregate(t, ts.URL, server.AggregateRequest{Spec: &rankagg.RunSpec{Algorithm: "scores"}, TopLists: [][]int{{1, 0}, {1, 2}}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("toplists + scores: %d %s", resp.StatusCode, data)
 	}
@@ -239,7 +239,7 @@ func TestTopListsEndToEnd(t *testing.T) {
 	}
 
 	// Structurally invalid lists are 400.
-	if resp, data = postAggregate(t, ts.URL, server.AggregateRequest{Algorithm: "lehmer", TopLists: [][]int{{0, 0}}}); resp.StatusCode != http.StatusBadRequest {
+	if resp, data = postAggregate(t, ts.URL, server.AggregateRequest{Spec: &rankagg.RunSpec{Algorithm: "lehmer"}, TopLists: [][]int{{0, 0}}}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("duplicate in toplist: %d %s, want 400", resp.StatusCode, data)
 	}
 }
@@ -249,12 +249,12 @@ func TestTopListsEndToEnd(t *testing.T) {
 // divert.
 func TestTopListsOffMode(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{ApproxMode: server.ApproxOff})
-	req := server.AggregateRequest{Algorithm: "BioConsert", TopLists: [][]int{{0, 1}, {2, 0}}}
+	req := server.AggregateRequest{Spec: &rankagg.RunSpec{Algorithm: "BioConsert"}, TopLists: [][]int{{0, 1}, {2, 0}}}
 	resp, data := postAggregate(t, ts.URL, req)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("toplists + exact algorithm under off: %d %s, want 400", resp.StatusCode, data)
 	}
-	req.Algorithm = "lehmer"
+	req.Spec = &rankagg.RunSpec{Algorithm: "lehmer"}
 	if resp, data = postAggregate(t, ts.URL, req); resp.StatusCode != http.StatusOK {
 		t.Fatalf("toplists + lehmer under off: %d %s, want 200", resp.StatusCode, data)
 	}

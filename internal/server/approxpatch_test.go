@@ -29,8 +29,8 @@ func topListsDataset(t *testing.T, n int, lists [][]int) *rankings.Dataset {
 func TestApproxConsensusCached(t *testing.T) {
 	s, ts := newTestServer(t, server.Config{})
 	req := server.AggregateRequest{
-		Algorithm: "lehmer",
-		TopLists:  [][]int{{0, 1, 3}, {2, 0}, {1, 2, 4}},
+		Spec:     &rankagg.RunSpec{Algorithm: "lehmer"},
+		TopLists: [][]int{{0, 1, 3}, {2, 0}, {1, 2, 4}},
 	}
 	resp, data := postAggregate(t, ts.URL, req)
 	if resp.StatusCode != http.StatusOK {
@@ -61,7 +61,7 @@ func TestApproxConsensusCached(t *testing.T) {
 	}
 	// The approx session itself was cached by the first request, so a
 	// different spec on the same dataset hits the session, not the builder.
-	req.Algorithm = "avgrank"
+	req.Spec = &rankagg.RunSpec{Algorithm: "avgrank"}
 	resp, data = postAggregate(t, ts.URL, req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("avgrank POST: %d %s", resp.StatusCode, data)

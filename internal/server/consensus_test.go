@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"rankagg"
-	"rankagg/internal/rankings"
 	"rankagg/internal/server"
 )
 
@@ -56,7 +55,6 @@ func TestConsensusCacheRepeatPost(t *testing.T) {
 	seeded := smallRequest("BioConsert")
 	one := int64(1)
 	seeded.Spec = &rankagg.RunSpec{Algorithm: "BioConsert", Seed: &one}
-	seeded.Algorithm = ""
 	resp, data = postAggregate(t, ts.URL, seeded)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("seeded POST: %d %s", resp.StatusCode, data)
@@ -76,66 +74,75 @@ func TestConsensusCacheRepeatPost(t *testing.T) {
 	}
 }
 
-// TestSpecAndAliasFieldsEquivalent pins the deprecation contract: the
-// legacy top-level fields and the nested spec object describe the same
-// run (identical consensus key), and on conflict the spec wins.
-func TestSpecAndAliasFieldsEquivalent(t *testing.T) {
+// TestRetiredAliasFieldsRejected pins the retirement of the top-level run
+// fields: a body that carries "algorithm", "seed", "restarts" or
+// "timeout_ms" at the top level answers 400 with a message naming the
+// "spec" form, on both aggregate endpoints, also when a spec sits beside
+// them; and the nested spec normalizes to one consensus key however it is
+// spelled.
+func TestRetiredAliasFieldsRejected(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
+	wire := smallRequest("BioConsert").DatasetWire
 
-	legacy := smallRequest("BioConsert")
-	seven := int64(7)
-	legacy.Seed = &seven
-	legacy.Restarts = 3
-	resp, data := postAggregate(t, ts.URL, legacy)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy POST: %d %s", resp.StatusCode, data)
+	legacy := map[string]any{"algorithm": "BioConsert", "seed": 7, "restarts": 3, "timeout_ms": 5000,
+		"names": wire.Names, "rankings": wire.Rankings}
+	created, _ := putDataset(t, ts.URL, wire)
+	for _, retired := range []struct {
+		url  string
+		body any
+	}{
+		{ts.URL + "/v1/aggregate", legacy},
+		{ts.URL + "/v1/datasets/" + created.DatasetHash + "/aggregate", map[string]any{"algorithm": "BioConsert"}},
+	} {
+		resp, data := doJSON(t, http.MethodPost, retired.url, retired.body)
+		var e struct {
+			Error string `json:"error"`
+		}
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(data, &e) != nil || !strings.Contains(e.Error, `"spec"`) {
+			t.Fatalf("POST %s with a top-level algorithm: %d %s, want 400 naming the \"spec\" form", retired.url, resp.StatusCode, data)
+		}
 	}
 
+	seven := int64(7)
 	nested := smallRequest("")
 	nested.Spec = &rankagg.RunSpec{Algorithm: "BioConsert", Seed: &seven, Restarts: 3}
-	resp, data = postAggregate(t, ts.URL, nested)
+	resp, data := postAggregate(t, ts.URL, nested)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("nested POST: %d %s", resp.StatusCode, data)
 	}
-	var viaSpec server.AggregateResponse
-	if err := json.Unmarshal(data, &viaSpec); err != nil {
-		t.Fatal(err)
-	}
-	if !viaSpec.ConsensusHit {
-		t.Error("nested spec did not canonicalize to the legacy fields' key")
+
+	// A retired field beside a spec is refused, not ignored: the run it
+	// asked for would differ from the one the spec alone describes.
+	for field, value := range map[string]any{"algorithm": "BordaCount", "seed": 7, "restarts": 3, "timeout_ms": 5000} {
+		spec := map[string]any{"algorithm": "BioConsert"}
+		for _, mixed := range []struct {
+			url  string
+			body map[string]any
+		}{
+			{ts.URL + "/v1/aggregate", map[string]any{"spec": spec, field: value, "names": wire.Names, "rankings": wire.Rankings}},
+			{ts.URL + "/v1/datasets/" + created.DatasetHash + "/aggregate", map[string]any{"spec": spec, field: value}},
+		} {
+			resp, data := doJSON(t, http.MethodPost, mixed.url, mixed.body)
+			var e struct {
+				Error string `json:"error"`
+			}
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(data, &e) != nil || !strings.Contains(e.Error, `"spec"`) {
+				t.Errorf("POST %s with a spec and a top-level %q: %d %s, want 400 naming the \"spec\" form", mixed.url, field, resp.StatusCode, data)
+			}
+		}
 	}
 
-	// Conflict: the spec's algorithm beats the deprecated alias.
-	conflict := smallRequest("BordaCount")
-	conflict.Spec = &rankagg.RunSpec{Algorithm: "BioConsert", Seed: &seven, Restarts: 3}
-	resp, data = postAggregate(t, ts.URL, conflict)
+	// The spec's own spelling canonicalizes.
+	respelled := map[string]any{"spec": map[string]any{"algorithm": "bioconsert", "seed": 7, "restarts": 3},
+		"names": wire.Names, "rankings": wire.Rankings}
+	resp, data = postAggregate(t, ts.URL, respelled)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("conflict POST: %d %s", resp.StatusCode, data)
+		t.Fatalf("respelled spec: %d %s", resp.StatusCode, data)
 	}
-	var winner server.AggregateResponse
-	if err := json.Unmarshal(data, &winner); err != nil {
-		t.Fatal(err)
-	}
-	if winner.Algorithm != "BioConsert" || !winner.ConsensusHit {
-		t.Errorf("spec should win over aliases: ran %q, consensus_hit=%v",
-			winner.Algorithm, winner.ConsensusHit)
-	}
-
-	// Aliases fill fields the spec leaves unset.
-	fill := smallRequest("")
-	fill.Restarts = 3
-	fill.Seed = &seven
-	fill.Spec = &rankagg.RunSpec{Algorithm: "BioConsert"}
-	resp, data = postAggregate(t, ts.URL, fill)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fill POST: %d %s", resp.StatusCode, data)
-	}
-	var filled server.AggregateResponse
-	if err := json.Unmarshal(data, &filled); err != nil {
-		t.Fatal(err)
-	}
-	if !filled.ConsensusHit {
-		t.Error("alias-filled spec should resolve to the same consensus key")
+	var again server.AggregateResponse
+	decodeJSON(t, data, &again)
+	if again.Algorithm != "BioConsert" || !again.ConsensusHit {
+		t.Errorf("respelled spec: ran %q, consensus_hit=%v, want BioConsert from the consensus cache", again.Algorithm, again.ConsensusHit)
 	}
 }
 
@@ -205,7 +212,7 @@ func TestPatchInvalidatesAndWarmStarts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, data = doPatch(t, ts.URL, cold.DatasetHash, server.PatchRequest{Add: []*rankings.Ranking{extraRanking()}})
+	resp, data = doPatch(t, ts.URL, cold.DatasetHash, server.PatchRequest{Ops: []server.PatchOp{{Add: extraRanking()}}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("PATCH: %d %s", resp.StatusCode, data)
 	}

@@ -5,18 +5,17 @@ package server
 // PUT creates by content (idempotent — the hash IS the identity), GET
 // lists what the store and the cache hold, DELETE evicts and tombstones,
 // and POST /v1/datasets/{hash}/aggregate is the canonical run endpoint
-// (POST /v1/aggregate stays as the inline-dataset compatibility alias).
+// (POST /v1/aggregate takes the dataset inline instead).
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"sort"
+	"slices"
 
 	"rankagg"
+	"rankagg/internal/cache"
 	"rankagg/internal/rankings"
+	"rankagg/internal/store"
 )
 
 // DatasetCreateResponse is the PUT /v1/datasets success body (201 when the
@@ -52,25 +51,10 @@ type DatasetPutRequest struct {
 // approx-tier session for incomplete ones (there is no matrix to build).
 func (s *Server) handlePutDatasets(w http.ResponseWriter, r *http.Request) {
 	var wire DatasetPutRequest
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	if err := json.NewDecoder(body).Decode(&wire); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err))
+	if !s.decodeBody(w, r, &wire) {
 		return
 	}
-	var (
-		d   *rankings.Dataset
-		err error
-	)
-	if len(wire.TopLists) > 0 {
-		if len(wire.Rankings) > 0 {
-			s.writeError(w, http.StatusBadRequest, "supply \"rankings\" or \"toplists\", not both")
-			return
-		}
-		tw := rankings.TopListsWire{N: wire.N, Names: wire.Names, TopLists: wire.TopLists}
-		d, _, err = tw.Decode()
-	} else {
-		d, _, err = wire.DatasetWire.Decode()
-	}
+	d, _, err := decodeDataset(wire.DatasetWire, wire.TopLists)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -80,85 +64,66 @@ func (s *Server) handlePutDatasets(w http.ResponseWriter, r *http.Request) {
 	if !d.Complete() && !s.admitApprox(w, d) {
 		return
 	}
-	if s.store != nil {
-		hash, created, err := s.store.Create(d, wire.Names)
-		if err != nil {
+	var (
+		hash    string
+		created bool
+	)
+	switch {
+	case s.store != nil:
+		if hash, created, err = s.store.Create(d, wire.Names); err != nil {
 			s.log.Printf("create dataset: %v", err)
 			s.writeError(w, http.StatusInternalServerError, "persisting the dataset failed")
 			return
 		}
-		code := http.StatusOK
-		if created {
-			code = http.StatusCreated
-		}
-		s.writeJSON(w, code, DatasetCreateResponse{
-			DatasetHash: hash, N: d.N, M: d.M(), Created: created, Persisted: true,
-		})
-		return
-	}
-	// Ephemeral create of an incomplete dataset: only the approx tier can
-	// hold it — its delta-maintainable session is the cache entry, weighed
-	// by its O(n + Σ L_i) state, admitted above instead of by the matrix
-	// check. Each ephemeral branch builds its session first (the
-	// constructor validates the dataset) and keys the entry by the
-	// session's own hash, which the session then keeps: the first by-hash
-	// aggregate finds it instead of hashing the dataset again.
-	if !d.Complete() {
-		sess, err := rankagg.NewApproxSession(d)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, err.Error())
+	case !d.Complete():
+		// Only the approx tier can hold an incomplete dataset: its
+		// delta-maintainable session is the cache entry, weighed by its
+		// O(n + Σ L_i) state, admitted above instead of by the matrix check.
+		hash, created, err = putSession(s.approx, func() (*rankagg.ApproxSession, error) {
+			return rankagg.NewApproxSession(d)
+		}, func(*rankagg.ApproxSession) {})
+	default:
+		// The matrix is built now, so it must pass the same admission the
+		// equivalent POST would.
+		if need, over := s.matrixOverBudget(d.N, d.M(), true, 0); over {
+			s.writeOverBudget(w, matrixBudget, fmt.Sprintf("dataset has %d elements and its %s pair matrix", d.N, s.matrixMode), need)
 			return
 		}
-		hash := sess.Hash()
-		_, hit, err := s.approx.GetOrBuild(hash, func() (*rankagg.ApproxSession, error) {
-			return sess, nil
-		})
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		code := http.StatusOK
-		if !hit {
-			code = http.StatusCreated
-		}
-		s.writeJSON(w, code, DatasetCreateResponse{
-			DatasetHash: hash, N: d.N, M: d.M(), Created: !hit, Persisted: false,
-		})
-		return
+		hash, created, err = putSession(s.cache, func() (*rankagg.Session, error) {
+			return rankagg.NewSession(d, rankagg.WithMatrixMode(s.matrixMode))
+		}, func(sess *rankagg.Session) { sess.Pairs() })
 	}
-	// Ephemeral create: the matrix is built now, so it must pass the same
-	// admission the equivalent POST would.
-	if s.budget > 0 {
-		if need := rankagg.PredictMatrixBytes(s.matrixMode, d.N, d.M(), d.Complete()); need > s.budget {
-			s.metrics.rejectedMatrix.Add(1)
-			s.writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("dataset has %d elements and its %s pair matrix would need %d bytes; the server cap is %d bytes (-max-elements %d)",
-					d.N, s.matrixMode, need, s.budget, s.maxElements))
-			return
-		}
-	}
-	sess, err := rankagg.NewSession(d, rankagg.WithMatrixMode(s.matrixMode))
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	hash := sess.Hash()
-	_, hit, err := s.cache.GetOrBuild(hash, func() (*rankagg.Session, error) {
-		sess.Pairs()
-		s.metrics.matrixBytes.Store(sess.MatrixBytes())
-		return sess, nil
-	})
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	code := http.StatusOK
-	if !hit {
+	if created {
 		code = http.StatusCreated
 	}
 	s.writeJSON(w, code, DatasetCreateResponse{
-		DatasetHash: hash, N: d.N, M: d.M(), Created: !hit, Persisted: false,
+		DatasetHash: hash, N: d.N, M: d.M(), Created: created, Persisted: s.store != nil,
 	})
+}
+
+// putSession makes a session the cache entry of its dataset on an
+// ephemeral server. open builds it (the constructor validates the
+// dataset); the entry is keyed by the session's own hash, which the
+// session then keeps, so the first by-hash aggregate finds it without
+// hashing the dataset again. build runs inside the cache's single flight:
+// the matrix tier's eager O(m·n²) build. created reports that no entry
+// held the hash before.
+func putSession[S servedSession](c *cache.LRU[S], open func() (S, error), build func(S)) (hash string, created bool, err error) {
+	sess, err := open()
+	if err != nil {
+		return "", false, err
+	}
+	hash = sess.Hash()
+	_, hit, err := c.GetOrBuild(hash, func() (S, error) {
+		build(sess)
+		return sess, nil
+	})
+	return hash, !hit, err
 }
 
 // DatasetListEntry is one row of the GET /v1/datasets listing.
@@ -180,69 +145,35 @@ type DatasetListEntry struct {
 	Bytes      int64 `json:"bytes"`
 }
 
-// handleListDatasets lists every dataset the server can aggregate by hash:
-// the store's persisted datasets merged with the cache-only entries, in
-// hash order.
+// handleListDatasets lists every dataset the server can aggregate by hash
+// — the store's persisted datasets and the entries of both session caches —
+// through the dataset view, in hash order.
 func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
-	byHash := make(map[string]*DatasetListEntry)
+	hashes := append(s.cache.Keys(), s.approx.Keys()...)
 	if s.store != nil {
 		for _, info := range s.store.List() {
-			byHash[info.Hash] = &DatasetListEntry{
-				DatasetHash: info.Hash,
-				N:           info.N,
-				M:           info.M,
-				Version:     info.Version,
-				Persisted:   true,
-				LogRecords:  info.LogRecords,
-				Bytes:       info.Bytes,
-			}
+			hashes = append(hashes, info.Hash)
 		}
 	}
-	for _, key := range s.cache.Keys() {
-		if e, ok := byHash[key]; ok {
-			e.Cached = true
-			continue
+	slices.Sort(hashes)
+	out := make([]DatasetListEntry, 0, len(hashes))
+	for _, hash := range slices.Compact(hashes) {
+		v := s.view(hash)
+		if !v.held() {
+			continue // evicted or deleted since the keys were read
 		}
-		sess, ok := s.cache.Peek(key)
-		if !ok {
-			continue // evicted between Keys and Peek
+		e := DatasetListEntry{DatasetHash: hash, Persisted: v.stored != nil, Cached: v.cached(), Approx: v.approx != nil}
+		e.N, e.M, e.Version = v.meta()
+		switch {
+		case v.stored != nil:
+			e.LogRecords, e.Bytes = v.stored.LogRecords, v.stored.Bytes
+		case v.matrix != nil:
+			e.Bytes = v.matrix.MatrixBytes()
+		default:
+			e.Bytes = v.approx.StateBytes()
 		}
-		d := sess.Dataset()
-		byHash[key] = &DatasetListEntry{
-			DatasetHash: key,
-			N:           d.N,
-			M:           d.M(),
-			Version:     sess.Version(),
-			Cached:      true,
-			Bytes:       sess.MatrixBytes(),
-		}
+		out = append(out, e)
 	}
-	for _, key := range s.approx.Keys() {
-		if e, ok := byHash[key]; ok {
-			e.Cached = true
-			e.Approx = true
-			continue
-		}
-		sess, ok := s.approx.Peek(key)
-		if !ok {
-			continue // evicted between Keys and Peek
-		}
-		d := sess.Dataset()
-		byHash[key] = &DatasetListEntry{
-			DatasetHash: key,
-			N:           d.N,
-			M:           d.M(),
-			Version:     sess.Version(),
-			Cached:      true,
-			Approx:      true,
-			Bytes:       sess.StateBytes(),
-		}
-	}
-	out := make([]DatasetListEntry, 0, len(byHash))
-	for _, e := range byHash {
-		out = append(out, *e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].DatasetHash < out[j].DatasetHash })
 	s.writeJSON(w, http.StatusOK, map[string]any{"datasets": out, "total": len(out)})
 }
 
@@ -287,9 +218,7 @@ func (s *Server) handleDeleteDataset(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDatasetAggregate(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	var req AggregateRequest
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Rankings) > 0 || len(req.TopLists) > 0 {
@@ -297,7 +226,7 @@ func (s *Server) handleDatasetAggregate(w http.ResponseWriter, r *http.Request) 
 			"the dataset is identified by the path hash; the body carries only the run spec (PUT the dataset to /v1/datasets, or POST it inline to /v1/aggregate)")
 		return
 	}
-	spec, err := req.resolveSpec().Normalize()
+	spec, err := req.runSpec()
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -313,23 +242,79 @@ func (s *Server) handleDatasetAggregate(w http.ResponseWriter, r *http.Request) 
 	s.serveAggregateOn(w, r, spec, d, u, !d.Complete())
 }
 
-// datasetByHash resolves a dataset handle to its rankings: the cached
-// session's dataset when one is live (a lock-protected pointer read — the
-// dataset value is immutable), the store's current state otherwise. The
-// universe is non-nil only when the store holds element names (cache-only
-// datasets don't retain them).
+// datasetView is what the server holds for one dataset hash: the session
+// of each cache (nil where that cache holds none) and, when the dataset is
+// persisted, the store's metadata. Reading it moves no LRU entry and
+// counts no hit or miss. Every handler that reports on or resolves a hash
+// reads it.
+type datasetView struct {
+	matrix *rankagg.Session
+	approx *rankagg.ApproxSession
+	stored *store.DatasetInfo
+}
+
+func (s *Server) view(hash string) datasetView {
+	var v datasetView
+	v.matrix, _ = s.cache.Peek(hash)
+	v.approx, _ = s.approx.Peek(hash)
+	if s.store != nil {
+		if info, ok := s.store.Info(hash); ok {
+			v.stored = &info
+		}
+	}
+	return v
+}
+
+func (v datasetView) cached() bool { return v.matrix != nil || v.approx != nil }
+
+func (v datasetView) held() bool { return v.cached() || v.stored != nil }
+
+// meta returns the dataset's size and version: the store's when it holds
+// the dataset, else a cached session's. A session rebuilt from the store
+// counts only the deltas replayed on top of the last compacted snapshot,
+// so for a persisted dataset the store's version is the one to report.
+func (v datasetView) meta() (n, m int, version uint64) {
+	switch {
+	case v.stored != nil:
+		return v.stored.N, v.stored.M, v.stored.Version
+	case v.matrix != nil:
+		d := v.matrix.Dataset()
+		return d.N, d.M(), v.matrix.Version()
+	case v.approx != nil:
+		d := v.approx.Dataset()
+		return d.N, d.M(), v.approx.Version()
+	}
+	return 0, 0, 0
+}
+
+// datasetOf resolves the view of hash to its rankings — a cached session's
+// dataset when one is live (a lock-protected pointer read; the dataset
+// value is immutable), the store's otherwise — and the element names the
+// store holds for it. ok is false when the server holds neither, or the
+// persisted dataset rotated away since the view was read.
+func (s *Server) datasetOf(hash string, v datasetView) (d *rankings.Dataset, names []string, ok bool) {
+	switch {
+	case v.matrix != nil:
+		d = v.matrix.Dataset()
+	case v.approx != nil:
+		d = v.approx.Dataset()
+	}
+	if v.stored != nil {
+		if sd, sn, err := s.store.Dataset(hash); err == nil {
+			names = sn
+			if d == nil {
+				d = sd
+			}
+		}
+	}
+	return d, names, d != nil
+}
+
+// datasetByHash resolves a dataset handle to its rankings and, when the
+// store holds element names for it, their universe.
 func (s *Server) datasetByHash(hash string) (*rankings.Dataset, *rankings.Universe, bool) {
-	if sess, ok := s.cache.Peek(hash); ok {
-		return sess.Dataset(), nil, true
-	}
-	if sess, ok := s.approx.Peek(hash); ok {
-		return sess.Dataset(), nil, true
-	}
-	if s.store == nil {
-		return nil, nil, false
-	}
-	d, names, err := s.store.Dataset(hash)
-	if err != nil {
+	d, names, ok := s.datasetOf(hash, s.view(hash))
+	if !ok {
 		return nil, nil, false
 	}
 	var u *rankings.Universe

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"testing"
 
 	"rankagg"
@@ -26,7 +27,9 @@ import (
 // delta rule written out below (modelDelta). Half the seeds run on a store
 // with a replay budget of 1 or 2, so PATCHes compact the log, and close and
 // reopen it mid-sequence; the other half are ephemeral with a one- or
-// two-entry session cache, so datasets get evicted.
+// two-entry session cache, so datasets get evicted. Two more seeds run on a
+// store with a -max-elements budget that half their complete datasets
+// overflow, so those are served matrix-free and PATCHed on that tier.
 
 // modelEntry is one dataset the model knows. A durable entry lives in the
 // store and must always answer. Any other entry is a cache entry that an
@@ -34,6 +37,7 @@ import (
 // model drops it too.
 type modelEntry struct {
 	d       *rankings.Dataset
+	names   []string // the element names the store holds; nil for none
 	durable bool
 }
 
@@ -45,11 +49,14 @@ type modelRun struct {
 	op     string
 	dir    string // store directory; "" for an ephemeral server
 	budget int    // the store's replay budget
-	cfg    server.Config
-	st     *store.Store
-	srv    *server.Server
-	ts     *httptest.Server
-	model  map[string]*modelEntry
+	// big draws half the complete datasets over the matrix byte budget of
+	// cfg.MaxElements (routeMaxElements).
+	big   bool
+	cfg   server.Config
+	st    *store.Store
+	srv   *server.Server
+	ts    *httptest.Server
+	model map[string]*modelEntry
 }
 
 // deterministicAlgos answer the same consensus however the server reached
@@ -64,7 +71,7 @@ var deterministicAlgos = map[string]bool{
 var modelAlgos = []string{"BordaCount", "CopelandMethod", "BioConsert", "KwikSortMin", "lehmer", "avgrank", "scores"}
 
 func TestServerMatchesModel(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
+	for seed := int64(1); seed <= 10; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			mr := &modelRun{
 				t:     t,
@@ -73,10 +80,16 @@ func TestServerMatchesModel(t *testing.T) {
 				model: make(map[string]*modelEntry),
 				cfg:   server.Config{Log: log.New(io.Discard, "", 0)},
 			}
-			if seed%2 == 0 {
+			switch {
+			case seed > 8:
+				mr.dir = t.TempDir()
+				mr.budget = 1 + int(seed%2)
+				mr.big = true
+				mr.cfg.MaxElements = routeMaxElements
+			case seed%2 == 0:
 				mr.dir = t.TempDir()
 				mr.budget = 1 + int(seed/2)%2
-			} else {
+			default:
 				mr.cfg.CacheEntries = 1 + int(seed/2)%2
 			}
 			mr.start()
@@ -139,10 +152,12 @@ func (mr *modelRun) randomOp() {
 		mr.putOp(true)
 	case k < 19:
 		mr.reputOp()
-	case k < 42:
+	case k < 39:
 		mr.patchOp()
-	case k < 46:
+	case k < 43:
 		mr.badPatchOp()
+	case k < 46:
+		mr.retiredWireOp()
 	case k < 50:
 		mr.deleteOp()
 	case k < 58:
@@ -290,12 +305,32 @@ func (mr *modelRun) gone(hash string, code int, data []byte) bool {
 	return true
 }
 
-func (mr *modelRun) remember(hash string, d *rankings.Dataset, durable bool) {
+// remember records what the server now holds under hash. The store keeps
+// the names a dataset was first persisted with.
+func (mr *modelRun) remember(hash string, d *rankings.Dataset, names []string, durable bool) {
 	if e, ok := mr.model[hash]; ok {
+		if durable && !e.durable {
+			e.names = names
+		}
 		e.durable = e.durable || durable
 		return
 	}
-	mr.model[hash] = &modelEntry{d: d, durable: durable}
+	if !durable {
+		names = nil
+	}
+	mr.model[hash] = &modelEntry{d: d, names: names, durable: durable}
+}
+
+// randomNames is a name for each of n elements, or nil for none.
+func (mr *modelRun) randomNames(n int) []string {
+	if mr.rng.Intn(2) == 0 {
+		return nil
+	}
+	names := make([]string, n)
+	for i, p := range mr.rng.Perm(n) {
+		names[i] = fmt.Sprintf("e%d", p)
+	}
+	return names
 }
 
 // toLists is a toplists dataset's wire form: each ranking's singleton
@@ -320,27 +355,35 @@ func (mr *modelRun) putOp(topLists bool) {
 		}
 	} else {
 		n, m := 4+mr.rng.Intn(4), 2+mr.rng.Intn(4)
+		if mr.big {
+			// Matrices of 2n² bytes: up to 7200 below the 27648-byte
+			// budget, 27848 and up above it.
+			n = 40 + mr.rng.Intn(20)
+			if mr.rng.Intn(2) == 0 {
+				n = 118 + mr.rng.Intn(20)
+			}
+		}
 		d = &rankings.Dataset{N: n}
 		for i := 0; i < m; i++ {
 			d.Rankings = append(d.Rankings, randomTied(mr.rng, n))
 		}
 	}
-	mr.put(d)
+	mr.put(d, mr.randomNames(d.N))
 }
 
 // reputOp PUTs a dataset the model already holds: idempotent by content.
 func (mr *modelRun) reputOp() {
 	_, e := mr.pick()
-	mr.put(e.d)
+	mr.put(e.d, e.names)
 }
 
-func (mr *modelRun) put(d *rankings.Dataset) {
+func (mr *modelRun) put(d *rankings.Dataset, names []string) {
 	mr.op = "PUT"
 	hash := d.Hash()
-	var body any = server.DatasetPutRequest{DatasetWire: rankings.DatasetWire{N: d.N, Rankings: d.Rankings}}
+	var body any = server.DatasetPutRequest{DatasetWire: rankings.DatasetWire{N: d.N, Names: names, Rankings: d.Rankings}}
 	if !d.Complete() {
 		mr.op = "PUT toplists"
-		body = map[string]any{"n": d.N, "toplists": toLists(d)}
+		body = map[string]any{"n": d.N, "names": names, "toplists": toLists(d)}
 	}
 	code, data, _ := mr.do(http.MethodPut, "/v1/datasets", body)
 	var resp server.DatasetCreateResponse
@@ -366,7 +409,7 @@ func (mr *modelRun) put(d *rankings.Dataset) {
 	if resp.Persisted != (mr.dir != "") {
 		mr.fatalf("PUT persisted = %v on a server with store = %v", resp.Persisted, mr.dir != "")
 	}
-	mr.remember(hash, d, mr.dir != "")
+	mr.remember(hash, d, names, mr.dir != "")
 }
 
 func (mr *modelRun) patchOp() {
@@ -421,17 +464,16 @@ func (mr *modelRun) badPatchOp() {
 
 func (mr *modelRun) patch(hash string, add, remove []*rankings.Ranking) {
 	e := mr.model[hash]
-	body := server.PatchRequest{Add: add, Remove: remove}
+	var ops []server.PatchOp
+	for _, r := range remove {
+		ops = append(ops, server.PatchOp{Remove: r})
+	}
+	for _, r := range add {
+		ops = append(ops, server.PatchOp{Add: r})
+	}
 	if mr.rng.Intn(4) > 0 {
-		// The ops wire, interleaved at random: removals still apply before
-		// additions, and additions append in the order the ops list them.
-		var ops []server.PatchOp
-		for _, r := range remove {
-			ops = append(ops, server.PatchOp{Remove: r})
-		}
-		for _, r := range add {
-			ops = append(ops, server.PatchOp{Add: r})
-		}
+		// Interleaved at random: removals still apply before additions, and
+		// additions append in the order the ops list them.
 		mr.rng.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
 		add = nil
 		for _, op := range ops {
@@ -439,8 +481,8 @@ func (mr *modelRun) patch(hash string, add, remove []*rankings.Ranking) {
 				add = append(add, op.Add)
 			}
 		}
-		body = server.PatchRequest{Ops: ops}
 	}
+	body := server.PatchRequest{Ops: ops}
 	next, want := modelDelta(e.d, add, remove)
 	code, data, hdr := mr.do(http.MethodPatch, "/v1/datasets/"+hash, body)
 	if mr.gone(hash, code, data) {
@@ -466,7 +508,61 @@ func (mr *modelRun) patch(hash string, add, remove []*rankings.Ranking) {
 		mr.fatalf("PATCH Location %q, want the new hash %s", loc, newHash)
 	}
 	delete(mr.model, hash)
-	mr.remember(newHash, next, e.durable)
+	mr.remember(newHash, next, e.names, e.durable)
+}
+
+// retiredWireOp sends a body in one of the retired wire forms, which the
+// server must answer with 400 and nothing changed: an aggregate whose run
+// spec sits in top-level "algorithm"/"seed"/"restarts"/"timeout_ms" fields
+// instead of "spec", or a PATCH whose delta sits in flat "add"/"remove"
+// lists instead of "ops". Half of them also carry the current form beside
+// a retired field, which must not make the field ignored.
+func (mr *modelRun) retiredWireOp() {
+	hash, e := mr.pick()
+	alg := modelAlgos[mr.rng.Intn(len(modelAlgos))]
+	mixed := mr.rng.Intn(2) == 0
+	var method, path string
+	var body map[string]any
+	switch form := mr.rng.Intn(3); form {
+	case 0, 1:
+		body = map[string]any{"algorithm": alg, "seed": 1, "restarts": 2, "timeout_ms": 5000}
+		if mixed {
+			keys := slices.Sorted(maps.Keys(body))
+			key := keys[mr.rng.Intn(len(keys))]
+			body = map[string]any{"spec": map[string]any{"algorithm": alg}, key: body[key]}
+		}
+		method, path = http.MethodPost, "/v1/datasets/"+hash+"/aggregate"
+		mr.op = fmt.Sprintf("retired aggregate by hash %s (mixed %v)", alg, mixed)
+		if form == 0 {
+			break
+		}
+		path = "/v1/aggregate"
+		mr.op = fmt.Sprintf("retired aggregate inline %s (mixed %v)", alg, mixed)
+		body["n"] = e.d.N
+		if e.d.Complete() {
+			body["rankings"] = e.d.Rankings
+		} else {
+			body["toplists"] = toLists(e.d)
+		}
+	default:
+		mr.op = fmt.Sprintf("retired PATCH (mixed %v)", mixed)
+		method, path = http.MethodPatch, "/v1/datasets/"+hash
+		body = map[string]any{"add": []*rankings.Ranking{mr.addFor(e.d)}}
+		if mixed {
+			body = map[string]any{"ops": []server.PatchOp{{Add: mr.addFor(e.d)}}, "remove": []*rankings.Ranking{}}
+		}
+	}
+	code, data, _ := mr.do(method, path, body)
+	if code != http.StatusBadRequest {
+		mr.fatalf("%s %s in a retired wire form answered %d, want 400: %s", method, path, code, data)
+	}
+	var resp struct {
+		Error string `json:"error"`
+	}
+	mr.decode(data, &resp)
+	if !strings.Contains(resp.Error, `"spec"`) && !strings.Contains(resp.Error, `"ops"`) {
+		mr.fatalf("400 for a retired wire form does not name the \"spec\" or \"ops\" form: %s", data)
+	}
 }
 
 func (mr *modelRun) deleteOp() {
@@ -518,7 +614,11 @@ func (mr *modelRun) aggregateByHashOp() {
 	if mr.gone(hash, code, data) {
 		return
 	}
-	mr.checkAggregate(hash, e.d, alg, !e.d.Complete(), code, data, hdr)
+	var names []string
+	if e.durable {
+		names = e.names
+	}
+	mr.checkAggregate(hash, e.d, alg, names, code, data, hdr)
 }
 
 // aggregateInlineOp POSTs a dataset to /v1/aggregate: a model dataset's
@@ -545,21 +645,31 @@ func (mr *modelRun) aggregateInlineOp() {
 	}
 	code, data, hdr := mr.do(http.MethodPost, "/v1/aggregate", req)
 	hash := d.Hash()
-	mr.checkAggregate(hash, d, alg, !d.Complete(), code, data, hdr)
-	mr.remember(hash, d, false)
+	mr.checkAggregate(hash, d, alg, nil, code, data, hdr)
+	mr.remember(hash, d, nil, false)
 }
 
 // checkAggregate checks one aggregate answer against the model's dataset.
-// An exact algorithm asked of an incomplete dataset is served matrix-free,
-// under the tier's default algorithm for that dataset.
-func (mr *modelRun) checkAggregate(hash string, d *rankings.Dataset, alg string, incomplete bool, code int, data []byte, hdr http.Header) {
+// An exact algorithm asked of an incomplete dataset, or of one whose pair
+// matrix the byte budget cannot hold, is served matrix-free, under the
+// tier's default algorithm for that dataset. names are the element names
+// the answer must give its consensus in; nil: it gives none.
+func (mr *modelRun) checkAggregate(hash string, d *rankings.Dataset, alg string, names []string, code int, data []byte, hdr http.Header) {
 	mr.t.Helper()
+	budget := int64(12 * mr.cfg.MaxElements * mr.cfg.MaxElements)
+	overBudget := budget > 0 && rankagg.PredictMatrixBytes(rankagg.MatrixAuto, d.N, d.M(), d.Complete()) > budget
+	wantApprox := rankagg.MatrixFree(alg) || !d.Complete() || overBudget
+	if wantApprox && budget > 0 && rankagg.PredictApproxBytes(d.N) > budget {
+		if code != http.StatusRequestEntityTooLarge {
+			mr.fatalf("aggregate of %s, whose matrix-free state is over budget, answered %d: %s", hash, code, data)
+		}
+		return
+	}
 	if code != http.StatusOK {
 		mr.fatalf("aggregate of %s answered %d: %s", hash, code, data)
 	}
 	var resp server.AggregateResponse
 	mr.decode(data, &resp)
-	wantApprox := rankagg.MatrixFree(alg) || incomplete
 	wantAlg := alg
 	if wantApprox && !rankagg.MatrixFree(alg) {
 		wantAlg = rankagg.ApproxDefault(d)
@@ -579,6 +689,17 @@ func (mr *modelRun) checkAggregate(hash string, d *rankings.Dataset, alg string,
 	}
 	if got := rankagg.Score(resp.Consensus, d); resp.Score != got {
 		mr.fatalf("score %d, rankagg.Score on the model's dataset %d", resp.Score, got)
+	}
+	var wantNames [][]string
+	if names != nil {
+		u := rankings.NewUniverse()
+		for _, nm := range names {
+			u.ID(nm)
+		}
+		wantNames = rankings.BucketNames(resp.Consensus, u)
+	}
+	if !slices.EqualFunc(resp.ConsensusNames, wantNames, slices.Equal) {
+		mr.fatalf("consensus_names %v, want %v for consensus %v", resp.ConsensusNames, wantNames, resp.Consensus)
 	}
 	if !deterministicAlgos[wantAlg] {
 		return

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"rankagg"
-	"rankagg/internal/cache"
 	"rankagg/internal/rankings"
 	"rankagg/internal/server"
 )
@@ -71,7 +70,7 @@ func TestPatchDeltaPath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, data = doPatch(t, ts.URL, cold.DatasetHash, server.PatchRequest{Add: []*rankings.Ranking{extraRanking()}})
+	resp, data = doPatch(t, ts.URL, cold.DatasetHash, server.PatchRequest{Ops: []server.PatchOp{{Add: extraRanking()}}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("PATCH: %d %s", resp.StatusCode, data)
 	}
@@ -135,7 +134,7 @@ func TestPatchDeltaPath(t *testing.T) {
 
 	// The old hash no longer names anything: a PATCH against it is a
 	// clean 404 fallback, and the metrics record both outcomes.
-	resp, data = doPatch(t, ts.URL, cold.DatasetHash, server.PatchRequest{Add: []*rankings.Ranking{extraRanking()}})
+	resp, data = doPatch(t, ts.URL, cold.DatasetHash, server.PatchRequest{Ops: []server.PatchOp{{Add: extraRanking()}}})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("PATCH of rotated-away hash: %d %s", resp.StatusCode, data)
 	}
@@ -167,12 +166,12 @@ func TestPatchRemoveAndRoundtrip(t *testing.T) {
 	if err := json.Unmarshal(data, &cold); err != nil {
 		t.Fatal(err)
 	}
-	_, data = doPatch(t, ts.URL, cold.DatasetHash, server.PatchRequest{Add: []*rankings.Ranking{extraRanking()}})
+	_, data = doPatch(t, ts.URL, cold.DatasetHash, server.PatchRequest{Ops: []server.PatchOp{{Add: extraRanking()}}})
 	var grown server.PatchResponse
 	if err := json.Unmarshal(data, &grown); err != nil {
 		t.Fatal(err)
 	}
-	resp, data := doPatch(t, ts.URL, grown.DatasetHash, server.PatchRequest{Remove: []*rankings.Ranking{extraRanking()}})
+	resp, data := doPatch(t, ts.URL, grown.DatasetHash, server.PatchRequest{Ops: []server.PatchOp{{Remove: extraRanking()}}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("removing PATCH: %d %s", resp.StatusCode, data)
 	}
@@ -213,15 +212,15 @@ func TestPatchErrorPaths(t *testing.T) {
 		body string
 		code int
 	}{
-		{"unknown hash", strings.Repeat("0", 32), `{"add":[[[0],[1],[2],[3]]]}`, http.StatusNotFound},
+		{"unknown hash", strings.Repeat("0", 32), `{"ops":[{"add":[[0],[1],[2],[3]]}]}`, http.StatusNotFound},
 		{"empty delta", cold.DatasetHash, `{}`, http.StatusBadRequest},
-		{"malformed body", cold.DatasetHash, `{"add":`, http.StatusBadRequest},
-		{"structurally invalid ranking", cold.DatasetHash, `{"add":[[[0],[0],[1,2,3]]]}`, http.StatusBadRequest},
-		{"partial ranking", cold.DatasetHash, `{"add":[[[0],[1]]]}`, http.StatusBadRequest},
-		{"out-of-universe ranking", cold.DatasetHash, `{"add":[[[0],[1],[2],[3],[4]]]}`, http.StatusBadRequest},
-		{"remove not present", cold.DatasetHash, `{"remove":[[[3],[2],[0,1]]]}`, http.StatusConflict},
+		{"malformed body", cold.DatasetHash, `{"ops":[{"add":`, http.StatusBadRequest},
+		{"structurally invalid ranking", cold.DatasetHash, `{"ops":[{"add":[[0],[0],[1,2,3]]}]}`, http.StatusBadRequest},
+		{"partial ranking", cold.DatasetHash, `{"ops":[{"add":[[0],[1]]}]}`, http.StatusBadRequest},
+		{"out-of-universe ranking", cold.DatasetHash, `{"ops":[{"add":[[0],[1],[2],[3],[4]]}]}`, http.StatusBadRequest},
+		{"remove not present", cold.DatasetHash, `{"ops":[{"remove":[[3],[2],[0,1]]}]}`, http.StatusConflict},
 		{"would empty the dataset", cold.DatasetHash,
-			`{"remove":[[[0],[3],[1,2]],[[0],[1,2],[3]],[[3],[0,2],[1]]]}`, http.StatusConflict},
+			`{"ops":[{"remove":[[0],[3],[1,2]]},{"remove":[[0],[1,2],[3]]},{"remove":[[3],[0,2],[1]]}]}`, http.StatusConflict},
 	}
 	for _, tc := range cases {
 		resp, data := doPatch(t, ts.URL, tc.hash, tc.body)
@@ -351,12 +350,11 @@ func TestConcurrentPatchAndAggregate(t *testing.T) {
 					// Toggle the extra ranking on whatever entry the chain
 					// currently names; losing the race (404/409) is fine.
 					h := readHash()
-					var body server.PatchRequest
+					op := server.PatchOp{Remove: extraRanking()}
 					if h == baseHash {
-						body.Add = []*rankings.Ranking{extraRanking()}
-					} else {
-						body.Remove = []*rankings.Ranking{extraRanking()}
+						op = server.PatchOp{Add: extraRanking()}
 					}
+					body := server.PatchRequest{Ops: []server.PatchOp{op}}
 					resp, data := doPatch(t, ts.URL, h, body)
 					switch resp.StatusCode {
 					case http.StatusOK:
@@ -383,55 +381,171 @@ func TestConcurrentPatchAndAggregate(t *testing.T) {
 // cached matrix past the -max-elements byte budget (int16 → int32 at
 // m = 32768 doubles the backing) is rejected with 413 BEFORE mutating —
 // the session keeps serving its old hash — while a shrinking delta on the
-// same session passes. The session is pre-built and injected through
-// Config.Cache so the test does not POST a 32767-ranking body.
+// same session passes. The 32,767-ranking dataset is PUT over HTTP: about
+// 0.5 MB, well under the body cap.
 func TestPatchRespectsMatrixByteBudget(t *testing.T) {
-	const n = 4
-	base := rankagg.NewRanking([]int{0, 1}, []int{2}, []int{3})
-	other := rankagg.NewRanking([]int{3}, []int{2, 1}, []int{0})
-	rks := make([]*rankagg.Ranking, 32767)
+	base := rankings.New([]int{0, 1}, []int{2}, []int{3})
+	other := rankings.New([]int{3}, []int{2, 1}, []int{0})
+	rks := make([]*rankings.Ranking, 32767)
 	for i := range rks {
 		rks[i] = base
 	}
 	rks[0] = other
-	sess, err := rankagg.NewSession(rankagg.NewDataset(n, rks...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess.Pairs()
-	if got := sess.MatrixBytes(); got != 64 {
-		t.Fatalf("fixture MatrixBytes = %d, want 64 (int16 + derived-tied)", got)
-	}
-	c := cache.New(4, 0)
-	hash := sess.Hash()
-	if _, _, err := c.GetOrBuild(hash, func() (*rankagg.Session, error) { return sess, nil }); err != nil {
-		t.Fatal(err)
-	}
 	// Budget 12·3² = 108 bytes: holds the 64-byte compact matrix, not the
 	// 128-byte widened one a 32768th ranking would force.
-	_, ts := newTestServer(t, server.Config{Cache: c, MaxElements: 3})
+	_, ts := newTestServer(t, server.Config{MaxElements: 3})
+	created, _ := putDataset(t, ts.URL, rankings.DatasetWire{N: 4, Rankings: rks})
+	hash := created.DatasetHash
+	if info := datasetInfo(t, ts.URL, hash); info.MatrixBytes != 64 {
+		t.Fatalf("fixture matrix_bytes = %d, want 64 (int16 + derived-tied)", info.MatrixBytes)
+	}
 
-	resp, data := doPatch(t, ts.URL, hash, server.PatchRequest{Add: []*rankings.Ranking{other}})
+	resp, data := doPatch(t, ts.URL, hash, server.PatchRequest{Ops: []server.PatchOp{{Add: other}}})
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("over-budget PATCH: %d %s, want 413", resp.StatusCode, data)
 	}
-	if sess.MatrixDeltas() != 0 || sess.Hash() != hash {
-		t.Fatalf("rejected PATCH mutated the session (deltas=%d)", sess.MatrixDeltas())
-	}
-	if _, ok := c.Get(hash); !ok {
-		t.Fatal("entry not restored under its old hash after the rejected PATCH")
+	if info := datasetInfo(t, ts.URL, hash); !info.Cached || info.MatrixDeltas != 0 || info.M != 32767 {
+		t.Fatalf("rejected PATCH moved the entry off its old hash or mutated it: %+v", info)
 	}
 	if text := scrape(t, ts.URL); !strings.Contains(text, `rankagg_admission_rejected_total{reason="delta-budget"} 1`) {
 		t.Errorf("rejected delta not counted in rankagg_admission_rejected_total:\n%s", text)
 	}
 
 	// A delta that stays inside the budget still goes through.
-	resp, data = doPatch(t, ts.URL, hash, server.PatchRequest{Remove: []*rankings.Ranking{other}})
+	resp, data = doPatch(t, ts.URL, hash, server.PatchRequest{Ops: []server.PatchOp{{Remove: other}}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("shrinking PATCH: %d %s, want 200", resp.StatusCode, data)
 	}
-	if sess.MatrixDeltas() != 1 {
-		t.Fatalf("deltas = %d after the shrinking PATCH, want 1", sess.MatrixDeltas())
+	var shrunk server.PatchResponse
+	decodeJSON(t, data, &shrunk)
+	if info := datasetInfo(t, ts.URL, shrunk.DatasetHash); !info.Cached || info.MatrixDeltas != 1 || info.M != 32766 {
+		t.Fatalf("after the shrinking PATCH: %+v, want the cached session with 1 delta", info)
+	}
+}
+
+// datasetInfo GETs /v1/datasets/{hash} and fails the test on any answer but
+// 200.
+func datasetInfo(t *testing.T, url, hash string) server.DatasetInfoResponse {
+	t.Helper()
+	resp, data := doJSON(t, http.MethodGet, url+"/v1/datasets/"+hash, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/datasets/%s: %d %s", hash, resp.StatusCode, data)
+	}
+	var info server.DatasetInfoResponse
+	decodeJSON(t, data, &info)
+	return info
+}
+
+// TestPatchOverBudgetPersisted: a persisted complete dataset whose pair
+// matrix the byte budget cannot hold is served matrix-free, and a PATCH
+// of it goes through there, as it does for the same dataset held by the
+// approx cache of an ephemeral server. The budget guards the matrix a
+// cached session holds; the next exact run is admitted or routed anew.
+func TestPatchOverBudgetPersisted(t *testing.T) {
+	for _, persisted := range []bool{false, true} {
+		cfg := server.Config{MaxElements: routeMaxElements}
+		if persisted {
+			cfg.Store = openStore(t, t.TempDir())
+		}
+		_, ts := newTestServer(t, cfg)
+		req := overBudgetRequest("BordaCount")
+		var agg server.AggregateResponse
+		if persisted {
+			created, _ := putDataset(t, ts.URL, req.DatasetWire)
+			agg, _ = aggregateHash(t, ts.URL, created.DatasetHash, "BordaCount")
+		} else {
+			resp, data := postAggregate(t, ts.URL, req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("inline aggregate: %d %s", resp.StatusCode, data)
+			}
+			decodeJSON(t, data, &agg)
+		}
+		if !agg.Approx || agg.Algorithm != "lehmer" {
+			t.Fatalf("persisted=%v: over-budget BordaCount ran %s approx=%v, want lehmer matrix-free", persisted, agg.Algorithm, agg.Approx)
+		}
+		add := rankings.FromPermutation(identityPerm(overBudgetN))
+		resp, data := doPatch(t, ts.URL, agg.DatasetHash, server.PatchRequest{Ops: []server.PatchOp{{Add: add}}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("persisted=%v: PATCH: %d %s, want 200", persisted, resp.StatusCode, data)
+		}
+		var patched server.PatchResponse
+		decodeJSON(t, data, &patched)
+		if !patched.Approx || patched.Persisted != persisted || patched.M != 3 {
+			t.Fatalf("persisted=%v: PATCH answered %+v", persisted, patched)
+		}
+		grown, _ := aggregateHash(t, ts.URL, patched.DatasetHash, "BordaCount")
+		if !grown.Approx || grown.M != 3 {
+			t.Fatalf("persisted=%v: aggregate after the PATCH: %+v", persisted, grown)
+		}
+	}
+}
+
+// TestPatchOverBudgetCachedPersisted: a delta that would grow a cached
+// matrix past the byte budget is not refused when the dataset is
+// persisted. The store logs it and the matrix session is dropped, so the
+// PATCH answers as it would once that session were evicted, and the next
+// exact run is admitted anew: routed matrix-free under -approx-mode auto,
+// 413 under off. 127 permutations of 64 elements fill an int8 matrix
+// (2·64² = 8192 bytes) inside the 12·30² = 10800-byte budget; a 128th
+// promotes it to int16 (16384 bytes), while the matrix-free state of 64
+// elements (10240 bytes) still fits.
+func TestPatchOverBudgetCachedPersisted(t *testing.T) {
+	const n, m, maxElements = 64, 127, 30
+	perm := identityPerm(n)
+	rev := make([]int, n)
+	for i := range rev {
+		rev[i] = n - 1 - i
+	}
+	wire := rankings.DatasetWire{N: n}
+	for i := range m {
+		if i%2 == 0 {
+			wire.Rankings = append(wire.Rankings, rankings.FromPermutation(perm))
+		} else {
+			wire.Rankings = append(wire.Rankings, rankings.FromPermutation(rev))
+		}
+	}
+	for _, mode := range []server.ApproxMode{server.ApproxAuto, server.ApproxOff} {
+		_, ts := newTestServer(t, server.Config{MaxElements: maxElements, ApproxMode: mode, Store: openStore(t, t.TempDir())})
+		created, _ := putDataset(t, ts.URL, wire)
+		if agg, _ := aggregateHash(t, ts.URL, created.DatasetHash, "BordaCount"); agg.Approx {
+			t.Fatalf("%s: the fixture ran matrix-free: %+v", mode, agg)
+		}
+		if info := datasetInfo(t, ts.URL, created.DatasetHash); !info.Cached || info.MatrixBytes != 2*n*n {
+			t.Fatalf("%s: fixture %+v, want a cached %d-byte matrix", mode, info, 2*n*n)
+		}
+
+		resp, data := doPatch(t, ts.URL, created.DatasetHash, server.PatchRequest{Ops: []server.PatchOp{{Add: rankings.FromPermutation(perm)}}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: PATCH past the cached matrix's budget: %d %s, want 200", mode, resp.StatusCode, data)
+		}
+		var patched server.PatchResponse
+		decodeJSON(t, data, &patched)
+		if !patched.Persisted || patched.M != m+1 || patched.MatrixDeltas != 0 || patched.Approx {
+			t.Fatalf("%s: PATCH answered %+v, want persisted with no session taking the delta", mode, patched)
+		}
+		if info := datasetInfo(t, ts.URL, patched.DatasetHash); info.Cached || !info.Persisted || info.M != m+1 || info.Version != 1 {
+			t.Fatalf("%s: after the PATCH: %+v, want the store's dataset and no cached session", mode, info)
+		}
+
+		resp, data = doJSON(t, http.MethodPost, ts.URL+"/v1/datasets/"+patched.DatasetHash+"/aggregate",
+			map[string]any{"spec": map[string]any{"algorithm": "BordaCount"}})
+		text := scrape(t, ts.URL)
+		if !strings.Contains(text, `rankagg_admission_rejected_total{reason="delta-budget"} 0`) {
+			t.Errorf("%s: the PATCH counted a delta-budget rejection", mode)
+		}
+		if mode == server.ApproxOff {
+			if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(text, `rankagg_admission_rejected_total{reason="matrix-budget"} 1`) {
+				t.Fatalf("off: next exact run: %d %s, want 413 counted as matrix-budget", resp.StatusCode, data)
+			}
+			continue
+		}
+		var agg server.AggregateResponse
+		if resp.StatusCode == http.StatusOK {
+			decodeJSON(t, data, &agg)
+		}
+		if !agg.Approx || agg.M != m+1 {
+			t.Fatalf("auto: next exact run: %d %s, want it routed matrix-free", resp.StatusCode, data)
+		}
 	}
 }
 
@@ -446,7 +560,7 @@ func TestCompactionMetrics(t *testing.T) {
 	s, ts := newTestServer(t, server.Config{})
 	base := rankings.New([]int{0, 1}, []int{2}, []int{3})
 	req := server.AggregateRequest{
-		Algorithm: "BioConsert",
+		Spec: &rankagg.RunSpec{Algorithm: "BioConsert"},
 		DatasetWire: rankings.DatasetWire{
 			Names:    []string{"A", "B", "C", "D"},
 			Rankings: make([]*rankings.Ranking, 127),
@@ -468,7 +582,7 @@ func TestCompactionMetrics(t *testing.T) {
 		t.Fatalf("cold cache bytes = %d, want %d (int8 tiles)", got, compactBytes)
 	}
 
-	resp, data = doPatch(t, ts.URL, cold.DatasetHash, server.PatchRequest{Add: []*rankings.Ranking{extraRanking()}})
+	resp, data = doPatch(t, ts.URL, cold.DatasetHash, server.PatchRequest{Ops: []server.PatchOp{{Add: extraRanking()}}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("promoting PATCH: %d %s", resp.StatusCode, data)
 	}
@@ -476,7 +590,7 @@ func TestCompactionMetrics(t *testing.T) {
 	if err := json.Unmarshal(data, &grown); err != nil {
 		t.Fatal(err)
 	}
-	resp, data = doPatch(t, ts.URL, grown.DatasetHash, server.PatchRequest{Remove: []*rankings.Ranking{extraRanking()}})
+	resp, data = doPatch(t, ts.URL, grown.DatasetHash, server.PatchRequest{Ops: []server.PatchOp{{Remove: extraRanking()}}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("removing PATCH: %d %s", resp.StatusCode, data)
 	}

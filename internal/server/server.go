@@ -12,8 +12,8 @@
 //	PATCH  /v1/datasets/{hash}         delta-update a dataset in place
 //	GET    /v1/datasets/{hash}         introspect a dataset
 //	DELETE /v1/datasets/{hash}         evict and tombstone a dataset
-//	POST   /v1/aggregate               aggregate an inline dataset (compatibility
-//	                                   alias: auto-creates without persisting)
+//	POST   /v1/aggregate               aggregate an inline dataset (auto-creates
+//	                                   a cache entry without persisting)
 //	GET    /v1/algorithms              list registered algorithms
 //	GET    /healthz                    liveness (503 while draining for shutdown)
 //	GET    /metrics                    Prometheus text exposition
@@ -26,9 +26,16 @@
 // rebuilds it by snapshot load + log replay instead of 404ing, and each
 // dataset's consensus-cache entries persist alongside it, so a restarted
 // server answers repeat traffic with consensus_hit: true and zero solver
-// runs. POST /v1/aggregate never persists: it remains the one-shot
-// compatibility surface (deprecated in favor of PUT + the hash endpoints;
-// kept for at least two releases).
+// runs. POST /v1/aggregate never persists: it is the one-shot surface for
+// a dataset sent inline.
+//
+// Wire forms: an aggregate body names its run in a nested "spec" object
+// (rankagg.RunSpec: algorithm, seed, restarts, timeout_ms, workers), and a
+// PATCH body carries its delta as "ops". The top-level
+// "algorithm"/"seed"/"restarts"/"timeout_ms" fields and the flat PATCH
+// "add"/"remove" lists are retired: a body that carries any of them, with
+// or without the current form beside it, answers 400 with a message naming
+// the form to send.
 //
 // Hash-rotation contract (the one place it is documented): a dataset's
 // handle IS its content hash, so every successful PATCH rotates the handle
@@ -84,7 +91,12 @@
 // rankagg_admission_rejected_total{reason="matrix-budget"}. The tier's own
 // O(n) state is charged against the same byte budget: a dataset whose
 // declared universe it cannot hold 413s, counted under
-// reason="approx-budget", before it is hashed.
+// reason="approx-budget", before it is hashed. One function predicts a
+// matrix against the budget (matrixOverBudget) for admission, the
+// ephemeral PUT and a PATCH of a session the matrix cache holds
+// (reason="delta-budget" for an ephemeral dataset; a persisted one drops
+// that session instead, and its next exact run is admitted anew), and one
+// writer answers every 413.
 //
 // Approx-tier sessions: the tier keeps its own hash-keyed LRU of
 // rankagg.ApproxSession values — the same generic cache.LRU as the matrix
@@ -98,9 +110,17 @@
 // request's hash, SaveConsensus — whose only per-tier step is looking the
 // session up and running it (runOnSession). The approx tier takes its
 // worker tokens before the consensus lookup, so its consensus hits wait
-// for a token too. Encode passes shard across the request's worker tokens
-// (rankagg_approx_encode_workers); the consensus is worker-count
-// invariant, so the answer never depends on load.
+// for a token too. Encode passes shard across the request's worker tokens;
+// the consensus is worker-count invariant, so the answer never depends on
+// load.
+//
+// Dataset view: every handler that reports on or resolves a dataset hash —
+// GET /v1/datasets and /v1/datasets/{hash}, the by-hash aggregate and PATCH
+// — reads what the server holds for it through one helper (view): each
+// cache's session, read without moving an LRU entry or counting a hit, and
+// the store's metadata. N, M and the version come from the store when it
+// holds the dataset, else from a cached session; element names always come
+// from the store.
 //
 // Request scheduling: every aggregation holds at least one token of a
 // global worker budget (Config.Workers, default NumCPU) for its whole
@@ -141,14 +161,10 @@ import (
 // 64-entry / 1 GiB session cache, a 30s max time budget, and a 32 MiB
 // request body cap.
 type Config struct {
-	// Cache is the session LRU. Nil: a cache with CacheEntries/CacheBytes
-	// budgets is created.
-	Cache *cache.Cache
-	// CacheEntries and CacheBytes bound the cache built when Cache is nil
-	// (0: 64 entries / 1 GiB; negative: that bound is unlimited). The
-	// approx-tier session cache reuses the entry bound with a sixteenth of
-	// the byte budget — its per-dataset state is a tiny fraction of a
-	// matrix.
+	// CacheEntries and CacheBytes bound the session cache (0: 64 entries /
+	// 1 GiB; negative: that bound is unlimited). The approx-tier session
+	// cache reuses the entry bound with a sixteenth of the byte budget —
+	// its per-dataset state is a tiny fraction of a matrix.
 	CacheEntries int
 	CacheBytes   int64
 	// ConsensusBytes bounds the consensus cache — stored (dataset hash,
@@ -243,10 +259,6 @@ func New(cfg Config) *Server {
 	} else if bytes < 0 {
 		bytes = 0
 	}
-	c := cfg.Cache
-	if c == nil {
-		c = cache.New(entries, bytes)
-	}
 	// The approx-tier session cache shares the session-cache budget knobs:
 	// its state is orders of magnitude smaller than a pair matrix, so the
 	// same entry bound with a sixteenth of the byte budget holds every
@@ -275,7 +287,7 @@ func New(cfg Config) *Server {
 		logger = log.Default()
 	}
 	s := &Server{
-		cache:       c,
+		cache:       cache.New(entries, bytes),
 		approx:      cache.NewApprox(entries, approxBytes),
 		consensus:   cache.NewConsensus(consensusBytes),
 		store:       cfg.Store,
@@ -364,14 +376,11 @@ type AggregateRequest struct {
 	// algorithm, seed, restarts, timeout_ms, workers in one nested object.
 	// Its result-determining fields are the consensus cache's key material
 	// — two requests whose specs normalize identically share one cached
-	// result. The top-level fields below remain accepted as aliases; where
-	// both are present, the spec wins. ("workers" is advisory only: the
-	// server's token scheduler assigns the actual parallelism.)
+	// result. timeout_ms is clamped to the server's max budget, which also
+	// applies when it is absent; on expiry the best incumbent is returned
+	// with deadline_hit set. ("workers" is advisory only: the server's token
+	// scheduler assigns the actual parallelism.)
 	Spec *rankagg.RunSpec `json:"spec,omitempty"`
-	// Algorithm is a registered algorithm name (GET /v1/algorithms).
-	//
-	// Deprecated: alias for Spec.Algorithm, kept for one release.
-	Algorithm string `json:"algorithm,omitempty"`
 	rankings.DatasetWire
 	// TopLists carries the dataset as top-k lists instead of "rankings":
 	// one ordered best-to-worst element-ID list per voter, no ties, each
@@ -380,45 +389,41 @@ type AggregateRequest struct {
 	// approximation tier: a non-approx algorithm is substituted (400 under
 	// -approx-mode off). Mutually exclusive with "rankings".
 	TopLists [][]int `json:"toplists,omitempty"`
-	// TimeoutMS bounds the run in milliseconds; it is clamped to the
-	// server's max budget, which also applies when the field is absent. On
-	// expiry the best incumbent is returned with deadline_hit set.
-	//
-	// Deprecated: alias for Spec.TimeoutMS, kept for one release.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Seed fixes the randomness of randomized algorithms.
-	//
-	// Deprecated: alias for Spec.Seed, kept for one release.
-	Seed *int64 `json:"seed,omitempty"`
-	// Restarts overrides the independent-run count of the algorithms that
-	// take one.
-	//
-	// Deprecated: alias for Spec.Restarts, kept for one release.
-	Restarts int `json:"restarts,omitempty"`
+	retiredRunFields
 }
 
-// resolveSpec folds the request into one rankagg.RunSpec: the nested spec
-// object where present, with the deprecated top-level aliases filling the
-// fields it leaves unset. The result is not yet normalized — the caller
-// runs it through RunSpec.Normalize, the one place defaults resolve.
-func (req *AggregateRequest) resolveSpec() rankagg.RunSpec {
-	var sp rankagg.RunSpec
-	if req.Spec != nil {
-		sp = *req.Spec
+// retiredRunFields catches the top-level run fields "spec" replaced, so
+// that a body still sending any of them answers 400 instead of running
+// without them. They are never read.
+type retiredRunFields struct {
+	Algorithm json.RawMessage `json:"algorithm,omitempty"`
+	Seed      json.RawMessage `json:"seed,omitempty"`
+	Restarts  json.RawMessage `json:"restarts,omitempty"`
+	TimeoutMS json.RawMessage `json:"timeout_ms,omitempty"`
+}
+
+// runSpec normalizes the request's "spec" through rankagg.RunSpec.Normalize,
+// the defaults resolution the CLI and the library share; the normalized
+// spec's key is the consensus cache's key material.
+func (req *AggregateRequest) runSpec() (rankagg.RunSpec, error) {
+	r := req.retiredRunFields
+	if req.Spec == nil || req.Spec.Algorithm == "" || r.Algorithm != nil || r.Seed != nil || r.Restarts != nil || r.TimeoutMS != nil {
+		return rankagg.RunSpec{}, errors.New(`name the algorithm in a nested "spec" object, {"spec":{"algorithm":...}}; the top-level "algorithm", "seed", "restarts" and "timeout_ms" fields are retired and refused`)
 	}
-	if sp.Algorithm == "" {
-		sp.Algorithm = req.Algorithm
+	return req.Spec.Normalize()
+}
+
+// decodeDataset decodes the dataset part of an aggregate or PUT body:
+// "rankings" (with optional "n" and "names"), or "toplists", not both.
+func decodeDataset(wire rankings.DatasetWire, topLists [][]int) (*rankings.Dataset, *rankings.Universe, error) {
+	if len(topLists) == 0 {
+		return wire.Decode()
 	}
-	if sp.Seed == nil {
-		sp.Seed = req.Seed
+	if len(wire.Rankings) > 0 {
+		return nil, nil, errors.New(`supply "rankings" or "toplists", not both`)
 	}
-	if sp.Restarts == 0 {
-		sp.Restarts = req.Restarts
-	}
-	if sp.TimeoutMS == 0 {
-		sp.TimeoutMS = req.TimeoutMS
-	}
-	return sp
+	tw := rankings.TopListsWire{N: wire.N, Names: wire.Names, TopLists: topLists}
+	return tw.Decode()
 }
 
 // AggregateResponse is the POST /v1/aggregate success body.
@@ -499,24 +504,37 @@ func byteBudget(maxElements int) int64 {
 // or any state of size n exists. It reports whether the request may
 // proceed.
 func (s *Server) admitApprox(w http.ResponseWriter, d *rankings.Dataset) bool {
-	if s.budget == 0 {
-		return true
+	if need := rankagg.PredictApproxBytes(d.N); s.budget > 0 && need > s.budget {
+		s.writeOverBudget(w, approxBudget, fmt.Sprintf("dataset has %d elements and the matrix-free tier's per-element state", d.N), need)
+		return false
 	}
-	need := rankagg.PredictApproxBytes(d.N)
-	if need <= s.budget {
-		return true
-	}
-	s.metrics.rejectedApprox.Add(1)
-	s.writeError(w, http.StatusRequestEntityTooLarge,
-		fmt.Sprintf("dataset has %d elements and the matrix-free tier's per-element state would need %d bytes; the server cap is %d bytes (-max-elements %d) — shrink the universe or raise -max-elements",
-			d.N, need, s.budget, s.maxElements))
-	return false
+	return true
 }
 
-// errMatrixBudget marks a PATCH delta that would grow the cached pair
-// matrix past the -max-elements byte budget (backend promotion); the
-// handler maps it to 413.
-var errMatrixBudget = errors.New("matrix byte budget exceeded")
+// matrixOverBudget predicts the pair matrix of a dataset of n elements and
+// m rankings under the server's matrix mode, at least floor bytes (a
+// delta never narrows a backend it promoted, so a PATCH passes the cached
+// matrix's size), and reports it with whether it exceeds the byte budget.
+// The matrix build is neither budgeted by the cache (entries are weighed
+// after the build) nor cancellable, so every check runs before one.
+func (s *Server) matrixOverBudget(n, m int, complete bool, floor int64) (int64, bool) {
+	if s.budget == 0 {
+		return 0, false
+	}
+	need := max(rankagg.PredictMatrixBytes(s.matrixMode, n, m, complete), floor)
+	return need, need > s.budget
+}
+
+// writeOverBudget answers 413 for a request whose predicted bytes exceed
+// the byte budget ("<what> would need <need> bytes; the server cap is
+// ..."), and counts it under its reason label of
+// rankagg_admission_rejected_total.
+func (s *Server) writeOverBudget(w http.ResponseWriter, reason int, what string, need int64) {
+	s.metrics.rejected[reason].Add(1)
+	s.writeError(w, http.StatusRequestEntityTooLarge,
+		fmt.Sprintf("%s would need %d bytes; the server cap is %d elements at int32's 12 bytes/pair (%d bytes) — shrink the dataset or raise -max-elements",
+			what, need, s.maxElements, s.budget))
+}
 
 // statusClientClosedRequest is nginx's convention for "client closed the
 // connection before the response"; the standard library has no name for
@@ -539,40 +557,20 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AggregateRequest
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	// One spec, every surface: the nested "spec" object (or its deprecated
-	// top-level aliases) normalizes through rankagg.RunSpec.Normalize, the
-	// same defaults resolution the CLI and the library use — and the
-	// normalized spec's key is the consensus cache's key material.
-	spec, err := req.resolveSpec().Normalize()
+	spec, err := req.runSpec()
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	var (
-		d *rankings.Dataset
-		u *rankings.Universe
-	)
-	fromTopLists := len(req.TopLists) > 0
-	if fromTopLists {
-		if len(req.Rankings) > 0 {
-			s.writeError(w, http.StatusBadRequest, "supply \"rankings\" or \"toplists\", not both")
-			return
-		}
-		tw := rankings.TopListsWire{N: req.N, Names: req.Names, TopLists: req.TopLists}
-		d, u, err = tw.Decode()
-	} else {
-		d, u, err = req.DatasetWire.Decode()
-	}
+	d, u, err := decodeDataset(req.DatasetWire, req.TopLists)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.serveAggregateOn(w, r, spec, d, u, fromTopLists)
+	s.serveAggregateOn(w, r, spec, d, u, len(req.TopLists) > 0)
 }
 
 // serveAggregateOn is the shared admission + solve flow behind both
@@ -584,15 +582,14 @@ func (s *Server) serveAggregateOn(w http.ResponseWriter, r *http.Request, spec r
 	// Tier admission. Requests for a matrix-free algorithm are approx-tier
 	// by definition; top-list payloads decode to incomplete datasets only
 	// that tier can serve; and everything else is admitted to the exact
-	// tier only if its projected pair matrix fits the byte budget — a tiny
-	// body can declare a huge universe, and the O(n²) build is neither
-	// budgeted by the cache (entries are weighed after the build) nor
-	// cancellable, so the check runs before any allocation. The budget is
-	// what an int32 matrix of -max-elements elements would cost; each
-	// request is charged its REAL projected bytes under the server's
-	// matrix mode. Over-budget datasets are diverted to the matrix-free
-	// tier under -approx-mode auto (routed, with a substituted algorithm)
-	// and rejected with 413 under off.
+	// tier only if its projected pair matrix fits the byte budget
+	// (matrixOverBudget) — a tiny body can declare a huge universe, so the
+	// check runs before any allocation. The budget is what an int32 matrix
+	// of -max-elements elements would cost; each request is charged its
+	// REAL projected bytes under the server's matrix mode. Over-budget
+	// datasets are diverted to the matrix-free tier under -approx-mode auto
+	// (routed, with a substituted algorithm) and rejected with 413 under
+	// off.
 	runName := spec.Algorithm
 	approxTier := rankagg.MatrixFree(runName)
 	routed := false
@@ -611,12 +608,7 @@ func (s *Server) serveAggregateOn(w http.ResponseWriter, r *http.Request, spec r
 		runName = rankagg.ApproxDefault(d)
 	}
 	if !approxTier {
-		overBudget := false
-		var need int64
-		if s.budget > 0 {
-			need = rankagg.PredictMatrixBytes(s.matrixMode, d.N, d.M(), d.Complete())
-			overBudget = need > s.budget
-		}
+		need, overBudget := s.matrixOverBudget(d.N, d.M(), d.Complete(), 0)
 		switch {
 		case s.approxMode == ApproxForce:
 			approxTier = true
@@ -627,10 +619,7 @@ func (s *Server) serveAggregateOn(w http.ResponseWriter, r *http.Request, spec r
 			routed = true
 			runName = rankagg.ApproxDefault(d)
 		case overBudget:
-			s.metrics.rejectedMatrix.Add(1)
-			s.writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("dataset has %d elements and its %s pair matrix would need %d bytes; the server cap is %d elements at int32's 12 bytes/pair (%d bytes) — shrink the dataset, raise -max-elements, or serve it matrix-free (-approx-mode auto)",
-					d.N, s.matrixMode, need, s.maxElements, s.budget))
+			s.writeOverBudget(w, matrixBudget, fmt.Sprintf("dataset has %d elements and its %s pair matrix", d.N, s.matrixMode), need)
 			return
 		}
 	}
@@ -770,24 +759,20 @@ func (s *Server) runOnSession(ctx context.Context, approxTier bool, hash string,
 		}, func() (*rankagg.ApproxSession, error) {
 			return rankagg.NewApproxSession(d)
 		}, func() []rankagg.Option {
-			s.metrics.encodeWorkers.Store(int64(tokens))
 			return []rankagg.Option{rankagg.WithWorkers(tokens)}
 		})
 	}
 	return runPinned(ctx, s.cache, hash, spec, func() (*rankagg.Session, error) {
 		if s.store != nil && s.store.Has(hash) {
 			if sess, _, err := s.store.Rebuild(hash); err == nil {
-				s.metrics.matrixBytes.Store(sess.MatrixBytes())
 				return sess, nil
 			}
 		}
 		sess, err := rankagg.NewSession(d, rankagg.WithMatrixMode(s.matrixMode))
-		if err != nil {
-			return nil, err
+		if err == nil {
+			sess.Pairs() // eager O(m·n²) build inside the single flight
 		}
-		sess.Pairs() // eager O(m·n²) build inside the single flight
-		s.metrics.matrixBytes.Store(sess.MatrixBytes())
-		return sess, nil
+		return sess, err
 	}, func() (*rankagg.Session, error) {
 		return rankagg.NewSession(d, rankagg.WithMatrixMode(s.matrixMode))
 	}, func() []rankagg.Option {
@@ -898,22 +883,22 @@ type PatchOp struct {
 // nothing.
 type PatchRequest struct {
 	Ops []PatchOp `json:"ops,omitempty"`
-	// Add and Remove are the legacy single-list wire, equivalent to ops
-	// with all removals first. Mutually exclusive with Ops.
-	//
-	// Deprecated: aliases for Ops, kept for one release.
-	Add    []*rankings.Ranking `json:"add,omitempty"`
-	Remove []*rankings.Ranking `json:"remove,omitempty"`
+	retiredDeltaFields
+}
+
+// retiredDeltaFields catches the flat delta lists "ops" replaced, so that a
+// body still sending either answers 400 instead of applying part of its
+// delta. They are never read.
+type retiredDeltaFields struct {
+	Add    json.RawMessage `json:"add,omitempty"`
+	Remove json.RawMessage `json:"remove,omitempty"`
 }
 
 // delta flattens the request into the one (add, remove) pair the delta
-// machinery consumes, rejecting bodies that mix the two wire forms.
+// machinery consumes.
 func (req *PatchRequest) delta() (add, remove []*rankings.Ranking, err error) {
-	if len(req.Ops) == 0 {
-		return req.Add, req.Remove, nil
-	}
-	if len(req.Add) > 0 || len(req.Remove) > 0 {
-		return nil, nil, errors.New("supply \"ops\" or the legacy \"add\"/\"remove\" lists, not both")
+	if len(req.Ops) == 0 || req.Add != nil || req.Remove != nil {
+		return nil, nil, errors.New(`send the delta as {"ops":[{"add":...},{"remove":...}]} with at least one op; the top-level "add" and "remove" lists are retired and refused`)
 	}
 	for i, op := range req.Ops {
 		switch {
@@ -966,10 +951,13 @@ type PatchResponse struct {
 // hash, in one flow for every tier and both server kinds:
 //
 //  1. decode the body into one (add, remove) pair;
-//  2. resolve the current dataset: from the store when it holds the hash,
-//     else from a session cache (neither: 404, the client falls back to a
-//     full POST);
-//  3. re-check the matrix byte budget the delta could grow past;
+//  2. resolve the current dataset through the dataset view: a cached
+//     session's, else the store's (neither: 404, the client falls back to
+//     a full POST);
+//  3. when the matrix cache holds the dataset, re-check the byte budget
+//     its pair matrix could grow past: over it, an ephemeral dataset
+//     answers 413, and a persisted one loses that matrix session once its
+//     delta is logged, so the answer does not depend on what is cached;
 //  4. for a persisted dataset, validate the delta and append it to the
 //     store's delta log (fsync'd) BEFORE any in-memory state moves — the
 //     write-ahead point, so a crash at any later point replays it
@@ -987,9 +975,7 @@ type PatchResponse struct {
 func (s *Server) handlePatchDataset(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	var req PatchRequest
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	add, remove, err := req.delta()
@@ -997,45 +983,33 @@ func (s *Server) handlePatchDataset(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if len(add) == 0 && len(remove) == 0 {
-		s.writeError(w, http.StatusBadRequest, "empty delta: supply \"ops\" (or the legacy \"add\"/\"remove\" lists)")
-		return
-	}
 	start := time.Now()
 
-	var d0 *rankings.Dataset
-	persisted := s.store != nil && s.store.Has(hash)
-	matrixSess, inMatrix := s.cache.Peek(hash)
+	v := s.view(hash)
+	persisted := v.stored != nil
+	d0, _, ok := s.datasetOf(hash, v)
 	switch {
-	case persisted:
-		if d0, _, err = s.store.Dataset(hash); err != nil {
-			s.writeRotated(w, hash)
-			return
-		}
-	case inMatrix:
-		d0 = matrixSess.Dataset()
-	default:
-		approxSess, ok := s.approx.Peek(hash)
-		if !ok {
-			s.writeDeltaMiss(w, hash)
-			return
-		}
-		d0 = approxSess.Dataset()
+	case !ok && persisted:
+		s.writeRotated(w, hash)
+		return
+	case !ok:
+		s.writeDeltaMiss(w, hash)
+		return
 	}
 	// A delta can promote the matrix backend (int16 → int32 when m crosses
-	// 32767), growing the allocation the dataset was admitted under. The
-	// check guards the matrix a complete dataset holds now or, persisted,
-	// rebuilds on its next exact run; it runs before anything is logged or
-	// mutated, since promotions are one-way.
-	if d0.Complete() && (persisted || inMatrix) {
-		curBytes := int64(0)
-		if inMatrix {
-			curBytes = matrixSess.MatrixBytes()
-		}
-		if err := s.checkDeltaBudget(d0, curBytes, len(add), len(remove)); err != nil {
-			s.writePatchError(w, err)
+	// 32767), growing the allocation the cached session was admitted
+	// under; the check runs before anything is logged or mutated, since
+	// promotions are one-way. A dataset no matrix session holds has no
+	// matrix to grow: its next exact run is admitted or routed anew, and so
+	// is a persisted dataset's once its over-budget session is dropped.
+	dropMatrix := false
+	if v.matrix != nil {
+		need, over := s.matrixOverBudget(d0.N, d0.M()+len(add)-len(remove), true, v.matrix.MatrixBytes())
+		if over && !persisted {
+			s.writeOverBudget(w, deltaBudget, "after this delta, the dataset's pair matrix", need)
 			return
 		}
+		dropMatrix = over
 	}
 	resp := PatchResponse{
 		BaseHash:     hash,
@@ -1059,6 +1033,9 @@ func (s *Server) handlePatchDataset(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		version = info.Version
+		if dropMatrix {
+			s.cache.Remove(hash)
+		}
 	}
 
 	// The response fields are captured inside the mutations, while this
@@ -1067,10 +1044,8 @@ func (s *Server) handlePatchDataset(w http.ResponseWriter, r *http.Request) {
 	// counters afterwards would pair this request's hash with a later
 	// mutation's state. Without a store, the warm hint carries the version
 	// of the session that validated the delta.
-	var matrixBytes int64
 	key, applied, err := offerDelta(s.cache, hash, newHash, add, remove, func(sess *rankagg.Session) {
 		resp.MatrixBuilds, resp.MatrixDeltas = sess.MatrixBuilds(), sess.MatrixDeltas()
-		matrixBytes = sess.MatrixBytes()
 		if newHash == "" {
 			version = sess.Version()
 		}
@@ -1081,9 +1056,6 @@ func (s *Server) handlePatchDataset(w http.ResponseWriter, r *http.Request) {
 	}
 	if applied {
 		newHash = key
-		// A delta can promote the backend (int16 → int32, tied-plane
-		// materialization); keep the gauge tracking the real size.
-		s.metrics.matrixBytes.Store(matrixBytes)
 	} else {
 		resp.MatrixBuilds, resp.MatrixDeltas = 0, 0
 	}
@@ -1165,38 +1137,14 @@ func (s *Server) writeDeltaMiss(w http.ResponseWriter, hash string) {
 		fmt.Sprintf("dataset %s is not cached; POST the full dataset to /v1/aggregate, or PUT it to /v1/datasets to persist it", hash))
 }
 
-// checkDeltaBudget re-checks the matrix byte budget a delta could grow
-// past (backend promotion is one-way, so the post-delta size is at least
-// curBytes). d0 is the pre-delta dataset; nAdd/nRemove size the delta.
-func (s *Server) checkDeltaBudget(d0 *rankings.Dataset, curBytes int64, nAdd, nRemove int) error {
-	if s.budget == 0 {
-		return nil
-	}
-	m2 := d0.M() + nAdd - nRemove
-	need := rankagg.PredictMatrixBytes(s.matrixMode, d0.N, m2, d0.Complete())
-	if curBytes > need {
-		need = curBytes
-	}
-	if need > s.budget {
-		return fmt.Errorf("%w: the delta would grow the pair matrix to %d bytes, over the server budget of %d (-max-elements %d)",
-			errMatrixBudget, need, s.budget, s.maxElements)
-	}
-	return nil
-}
-
 // writePatchError maps a rejected delta to its status: conflicts with the
-// dataset's current content are 409 (the caller holds a stale view), a
-// delta that would blow the matrix byte budget is 413 like the equivalent
-// POST, and structurally invalid rankings are 400. In every case nothing
-// was mutated and nothing was logged.
+// dataset's current content are 409 (the caller holds a stale view), and
+// structurally invalid rankings are 400. In every case nothing was mutated
+// and nothing was logged.
 func (s *Server) writePatchError(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
-	switch {
-	case errors.Is(err, rankagg.ErrRankingNotFound) || errors.Is(err, rankagg.ErrDatasetEmptied):
+	if errors.Is(err, rankagg.ErrRankingNotFound) || errors.Is(err, rankagg.ErrDatasetEmptied) {
 		code = http.StatusConflict
-	case errors.Is(err, errMatrixBudget):
-		code = http.StatusRequestEntityTooLarge
-		s.metrics.rejectedDelta.Add(1)
 	}
 	s.writeError(w, code, err.Error())
 }
@@ -1221,8 +1169,9 @@ type DatasetInfoResponse struct {
 	DatasetHash string `json:"dataset_hash"`
 	N           int    `json:"n"`
 	M           int    `json:"m"`
-	// Version is the session's mutation version: +1 per ranking added or
-	// removed since the session was built.
+	// Version is the dataset's mutation version: +1 per ranking added or
+	// removed — since the PUT for a persisted dataset (the store's count),
+	// since the session was built for a cache-only one.
 	Version uint64 `json:"version"`
 	// MatrixLayout is the pair matrix's storage layout in use ("" while no
 	// matrix is built); MatrixBytes its backing size.
@@ -1253,51 +1202,34 @@ type DatasetInfoResponse struct {
 }
 
 // handleDatasetInfo reports the dataset at the path hash without
-// perturbing anything: the cache lookup is a Peek (no LRU move, no
-// hit/miss counting) and the store lookup reads metadata only. A dataset
-// held by neither is a 404. An evicted-but-persisted dataset answers from
-// the store with Cached false — the GET that previously 404ed cold.
+// perturbing anything: it reads the dataset view (no LRU move, no hit/miss
+// counting, store metadata only). A dataset held by neither a cache nor
+// the store is a 404. An evicted-but-persisted dataset answers from the
+// store with Cached false.
 func (s *Server) handleDatasetInfo(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
-	resp := DatasetInfoResponse{DatasetHash: hash}
-	sess, cached := s.cache.Peek(hash)
-	if cached {
-		d := sess.Dataset()
-		resp.N, resp.M = d.N, d.M()
-		resp.Version = sess.Version()
-		resp.MatrixLayout = sess.MatrixLayout()
-		resp.MatrixBytes = sess.MatrixBytes()
-		resp.MatrixBuilds = sess.MatrixBuilds()
-		resp.MatrixDeltas = sess.MatrixDeltas()
-		resp.Cached = true
-	}
-	if asess, ok := s.approx.Peek(hash); ok {
-		resp.Approx = true
-		resp.ApproxStateBytes = asess.StateBytes()
-		resp.ApproxDeltas = asess.DeltaCount()
-		if !cached {
-			d := asess.Dataset()
-			resp.N, resp.M = d.N, d.M()
-			resp.Version = asess.Version()
-		}
-		cached = true
-		resp.Cached = true
-	}
-	if s.store != nil {
-		if info, ok := s.store.Info(hash); ok {
-			resp.Persisted = true
-			resp.LogRecords = info.LogRecords
-			resp.StoreBytes = info.Bytes
-			if !cached {
-				resp.N, resp.M = info.N, info.M
-				resp.Version = info.Version
-			}
-		}
-	}
-	if !resp.Cached && !resp.Persisted {
+	v := s.view(hash)
+	if !v.held() {
 		s.writeError(w, http.StatusNotFound,
 			fmt.Sprintf("dataset %s is neither cached nor persisted", hash))
 		return
+	}
+	resp := DatasetInfoResponse{DatasetHash: hash, Cached: v.cached(), Persisted: v.stored != nil}
+	resp.N, resp.M, resp.Version = v.meta()
+	if v.matrix != nil {
+		resp.MatrixLayout = v.matrix.MatrixLayout()
+		resp.MatrixBytes = v.matrix.MatrixBytes()
+		resp.MatrixBuilds = v.matrix.MatrixBuilds()
+		resp.MatrixDeltas = v.matrix.MatrixDeltas()
+	}
+	if v.approx != nil {
+		resp.Approx = true
+		resp.ApproxStateBytes = v.approx.StateBytes()
+		resp.ApproxDeltas = v.approx.DeltaCount()
+	}
+	if v.stored != nil {
+		resp.LogRecords = v.stored.LogRecords
+		resp.StoreBytes = v.stored.Bytes
 	}
 	resp.CachedConsensus, resp.WarmHint = s.consensus.DatasetEntries(hash)
 	s.writeJSON(w, http.StatusOK, resp)
@@ -1328,102 +1260,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	}
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.write(w, func(w io.Writer) {
-		st := s.cache.Stats()
-		fmt.Fprintf(w, "# HELP rankagg_cache_hits_total Session cache lookups answered by a ready entry.\n")
-		fmt.Fprintf(w, "# TYPE rankagg_cache_hits_total counter\n")
-		fmt.Fprintf(w, "rankagg_cache_hits_total %d\n", st.Hits)
-		fmt.Fprintf(w, "# HELP rankagg_cache_misses_total Session cache lookups that found no ready entry.\n")
-		fmt.Fprintf(w, "# TYPE rankagg_cache_misses_total counter\n")
-		fmt.Fprintf(w, "rankagg_cache_misses_total %d\n", st.Misses)
-		fmt.Fprintf(w, "# HELP rankagg_cache_matrix_builds_total Pair matrices built on behalf of the cache.\n")
-		fmt.Fprintf(w, "# TYPE rankagg_cache_matrix_builds_total counter\n")
-		fmt.Fprintf(w, "rankagg_cache_matrix_builds_total %d\n", st.Builds)
-		fmt.Fprintf(w, "# HELP rankagg_cache_evictions_total Sessions evicted to satisfy the cache budgets.\n")
-		fmt.Fprintf(w, "# TYPE rankagg_cache_evictions_total counter\n")
-		fmt.Fprintf(w, "rankagg_cache_evictions_total %d\n", st.Evictions)
-		fmt.Fprintf(w, "# HELP rankagg_cache_rekeys_total Cache entries re-keyed after a PATCH rotated the dataset hash.\n")
-		fmt.Fprintf(w, "# TYPE rankagg_cache_rekeys_total counter\n")
-		fmt.Fprintf(w, "rankagg_cache_rekeys_total %d\n", st.Rekeys)
-		fmt.Fprintf(w, "# HELP rankagg_cache_entries Sessions currently cached.\n")
-		fmt.Fprintf(w, "# TYPE rankagg_cache_entries gauge\n")
-		fmt.Fprintf(w, "rankagg_cache_entries %d\n", st.Entries)
-		fmt.Fprintf(w, "# HELP rankagg_cache_bytes Pair-matrix bytes currently cached.\n")
-		fmt.Fprintf(w, "# TYPE rankagg_cache_bytes gauge\n")
-		fmt.Fprintf(w, "rankagg_cache_bytes %d\n", st.Bytes)
-		as := s.approx.Stats()
-		fmt.Fprintf(w, "# HELP rankagg_approx_cache_hits_total Approx-tier session cache lookups answered by a ready entry.\n")
-		fmt.Fprintf(w, "# TYPE rankagg_approx_cache_hits_total counter\n")
-		fmt.Fprintf(w, "rankagg_approx_cache_hits_total %d\n", as.Hits)
-		fmt.Fprintf(w, "# HELP rankagg_approx_cache_misses_total Approx-tier session cache lookups that found no ready entry.\n")
-		fmt.Fprintf(w, "# TYPE rankagg_approx_cache_misses_total counter\n")
-		fmt.Fprintf(w, "rankagg_approx_cache_misses_total %d\n", as.Misses)
-		fmt.Fprintf(w, "# HELP rankagg_approx_cache_rekeys_total Approx-tier entries re-keyed after a PATCH rotated the dataset hash.\n")
-		fmt.Fprintf(w, "# TYPE rankagg_approx_cache_rekeys_total counter\n")
-		fmt.Fprintf(w, "rankagg_approx_cache_rekeys_total %d\n", as.Rekeys)
-		fmt.Fprintf(w, "# HELP rankagg_approx_cache_entries Approx-tier sessions currently cached.\n")
-		fmt.Fprintf(w, "# TYPE rankagg_approx_cache_entries gauge\n")
-		fmt.Fprintf(w, "rankagg_approx_cache_entries %d\n", as.Entries)
-		fmt.Fprintf(w, "# HELP rankagg_approx_cache_bytes Incremental aggregation-state bytes currently cached by the approx tier.\n")
-		fmt.Fprintf(w, "# TYPE rankagg_approx_cache_bytes gauge\n")
-		fmt.Fprintf(w, "rankagg_approx_cache_bytes %d\n", as.Bytes)
-		cs := s.consensus.Stats()
-		fmt.Fprintf(w, "# HELP rankagg_consensus_hits_total Aggregations answered entirely from the consensus cache (no solver run).\n")
-		fmt.Fprintf(w, "# TYPE rankagg_consensus_hits_total counter\n")
-		fmt.Fprintf(w, "rankagg_consensus_hits_total %d\n", cs.Hits)
-		fmt.Fprintf(w, "# HELP rankagg_consensus_misses_total Consensus cache lookups that found no stored result.\n")
-		fmt.Fprintf(w, "# TYPE rankagg_consensus_misses_total counter\n")
-		fmt.Fprintf(w, "rankagg_consensus_misses_total %d\n", cs.Misses)
-		fmt.Fprintf(w, "# HELP rankagg_consensus_solver_runs_total Solver runs executed on behalf of the consensus cache (single-flighted).\n")
-		fmt.Fprintf(w, "# TYPE rankagg_consensus_solver_runs_total counter\n")
-		fmt.Fprintf(w, "rankagg_consensus_solver_runs_total %d\n", cs.Runs)
-		fmt.Fprintf(w, "# HELP rankagg_consensus_evictions_total Consensus entries evicted to satisfy the byte budget.\n")
-		fmt.Fprintf(w, "# TYPE rankagg_consensus_evictions_total counter\n")
-		fmt.Fprintf(w, "rankagg_consensus_evictions_total %d\n", cs.Evictions)
-		fmt.Fprintf(w, "# HELP rankagg_consensus_invalidations_total Consensus entries dropped because a PATCH rotated their dataset hash.\n")
-		fmt.Fprintf(w, "# TYPE rankagg_consensus_invalidations_total counter\n")
-		fmt.Fprintf(w, "rankagg_consensus_invalidations_total %d\n", cs.Invalidations)
-		fmt.Fprintf(w, "# HELP rankagg_consensus_entries Consensus results currently stored (warm hints included).\n")
-		fmt.Fprintf(w, "# TYPE rankagg_consensus_entries gauge\n")
-		fmt.Fprintf(w, "rankagg_consensus_entries %d\n", cs.Entries)
-		fmt.Fprintf(w, "# HELP rankagg_consensus_bytes_total Bytes pinned by stored consensus results.\n")
-		fmt.Fprintf(w, "# TYPE rankagg_consensus_bytes_total gauge\n")
-		fmt.Fprintf(w, "rankagg_consensus_bytes_total %d\n", cs.Bytes)
-		fmt.Fprintf(w, "# HELP rankagg_matrix_compactions_total Cached pair matrices re-packed to their minimal layout by the idle sweep.\n")
-		fmt.Fprintf(w, "# TYPE rankagg_matrix_compactions_total counter\n")
-		fmt.Fprintf(w, "rankagg_matrix_compactions_total %d\n", st.Compactions)
-		fmt.Fprintf(w, "# HELP rankagg_matrix_compact_reclaimed_bytes_total Bytes reclaimed by matrix re-compaction.\n")
-		fmt.Fprintf(w, "# TYPE rankagg_matrix_compact_reclaimed_bytes_total counter\n")
-		fmt.Fprintf(w, "rankagg_matrix_compact_reclaimed_bytes_total %d\n", st.CompactedBytes)
-		if s.store != nil {
-			ss := s.store.Stats()
-			fmt.Fprintf(w, "# HELP rankagg_store_datasets Datasets currently persisted in the durable store.\n")
-			fmt.Fprintf(w, "# TYPE rankagg_store_datasets gauge\n")
-			fmt.Fprintf(w, "rankagg_store_datasets %d\n", ss.Datasets)
-			fmt.Fprintf(w, "# HELP rankagg_store_log_records Pending (un-compacted) delta-log records across all persisted datasets.\n")
-			fmt.Fprintf(w, "# TYPE rankagg_store_log_records gauge\n")
-			fmt.Fprintf(w, "rankagg_store_log_records %d\n", ss.LogRecords)
-			fmt.Fprintf(w, "# HELP rankagg_store_bytes On-disk bytes of persisted snapshots and delta logs.\n")
-			fmt.Fprintf(w, "# TYPE rankagg_store_bytes gauge\n")
-			fmt.Fprintf(w, "rankagg_store_bytes %d\n", ss.Bytes)
-			fmt.Fprintf(w, "# HELP rankagg_store_replays_total Sessions reconstructed from the store (snapshot load + delta-log replay).\n")
-			fmt.Fprintf(w, "# TYPE rankagg_store_replays_total counter\n")
-			fmt.Fprintf(w, "rankagg_store_replays_total %d\n", ss.Replays)
-			fmt.Fprintf(w, "# HELP rankagg_store_replay_seconds Cumulative wall-clock seconds spent reconstructing sessions.\n")
-			fmt.Fprintf(w, "# TYPE rankagg_store_replay_seconds counter\n")
-			fmt.Fprintf(w, "rankagg_store_replay_seconds %.6f\n", ss.ReplaySeconds)
-			fmt.Fprintf(w, "# HELP rankagg_store_compactions_total Delta logs folded into a fresh snapshot.\n")
-			fmt.Fprintf(w, "# TYPE rankagg_store_compactions_total counter\n")
-			fmt.Fprintf(w, "rankagg_store_compactions_total %d\n", ss.Compactions)
-			fmt.Fprintf(w, "# HELP rankagg_store_log_truncations_total Corrupt delta-log tails truncated on open.\n")
-			fmt.Fprintf(w, "# TYPE rankagg_store_log_truncations_total counter\n")
-			fmt.Fprintf(w, "rankagg_store_log_truncations_total %d\n", ss.Truncations)
-		}
-	})
 }
 
 // CompactNow runs one compaction sweep over the session cache (see
@@ -1506,6 +1342,18 @@ func (s *Server) releaseWorkers(n int) {
 	for i := 0; i < n; i++ {
 		<-s.tokens
 	}
+}
+
+// decodeBody decodes the JSON request body into v under the body cap and
+// reports whether it parsed; on failure it has answered 400. An empty body
+// leaves v zero: each handler's own checks answer what it lacks.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(v)
+	if err != nil && !errors.Is(err, io.EOF) {
+		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err))
+		return false
+	}
+	return true
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {

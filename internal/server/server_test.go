@@ -35,7 +35,7 @@ func newTestServer(t *testing.T, cfg server.Config) (*server.Server, *httptest.S
 // smallRequest is the README's 3-ranking example over named elements.
 func smallRequest(algorithm string) server.AggregateRequest {
 	return server.AggregateRequest{
-		Algorithm: algorithm,
+		Spec: &rankagg.RunSpec{Algorithm: algorithm},
 		DatasetWire: rankings.DatasetWire{
 			Names: []string{"A", "B", "C", "D"},
 			Rankings: []*rankings.Ranking{
@@ -132,10 +132,10 @@ func TestAggregateErrorPaths(t *testing.T) {
 	}{
 		{"malformed JSON", `{`, http.StatusBadRequest},
 		{"missing algorithm", `{"rankings":[[[0],[1]]]}`, http.StatusBadRequest},
-		{"unknown algorithm", `{"algorithm":"Nope","rankings":[[[0],[1]]]}`, http.StatusBadRequest},
-		{"empty input", `{"algorithm":"BioConsert","rankings":[]}`, http.StatusBadRequest},
-		{"duplicate element", `{"algorithm":"BioConsert","rankings":[[[0],[0]]]}`, http.StatusBadRequest},
-		{"incomplete dataset", `{"algorithm":"BioConsert","rankings":[[[0],[1]],[[2]]]}`, http.StatusBadRequest},
+		{"unknown algorithm", `{"spec":{"algorithm":"Nope"},"rankings":[[[0],[1]]]}`, http.StatusBadRequest},
+		{"empty input", `{"spec":{"algorithm":"BioConsert"},"rankings":[]}`, http.StatusBadRequest},
+		{"duplicate element", `{"spec":{"algorithm":"BioConsert"},"rankings":[[[0],[0]]]}`, http.StatusBadRequest},
+		{"incomplete dataset", `{"spec":{"algorithm":"BioConsert"},"rankings":[[[0],[1]],[[2]]]}`, http.StatusBadRequest},
 		{"fractional element", `{"spec":{"algorithm":"BordaCount"},"rankings":[[[0],[1.5]]]}`, http.StatusBadRequest},
 		{"element beyond int64", `{"spec":{"algorithm":"BordaCount"},"rankings":[[[0],[99999999999999999999]]]}`, http.StatusBadRequest},
 	}
@@ -179,7 +179,7 @@ func TestMaxElementsGuard(t *testing.T) {
 			rankings.New([]int{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}),
 		},
 	}
-	req := server.AggregateRequest{Algorithm: "BioConsert", DatasetWire: wire}
+	req := server.AggregateRequest{Spec: &rankagg.RunSpec{Algorithm: "BioConsert"}, DatasetWire: wire}
 
 	// int32 mode: n = 10 needs 1200 bytes, over the 12·8² = 768 budget.
 	_, ts := newTestServer(t, server.Config{MaxElements: 8, MatrixMode: rankagg.MatrixInt32, ApproxMode: server.ApproxOff})
@@ -205,7 +205,7 @@ func TestMaxElementsGuard(t *testing.T) {
 
 	// A universe too large even for the compact layout still 413s with
 	// routing off.
-	big := server.AggregateRequest{Algorithm: "BioConsert", DatasetWire: rankings.DatasetWire{N: 64}}
+	big := server.AggregateRequest{Spec: &rankagg.RunSpec{Algorithm: "BioConsert"}, DatasetWire: rankings.DatasetWire{N: 64}}
 	big.Rankings = []*rankings.Ranking{rankings.FromPermutation(identityPerm(64))}
 	resp, data = postAggregate(t, ts.URL, big)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
@@ -228,7 +228,7 @@ func bnbRequest(t *testing.T) server.AggregateRequest {
 	rng := rand.New(rand.NewSource(42))
 	d := gen.UniformDataset(rng, 10, 30)
 	return server.AggregateRequest{
-		Algorithm:   "BnB",
+		Spec:        &rankagg.RunSpec{Algorithm: "BnB"},
 		DatasetWire: rankings.DatasetWire{N: d.N, Rankings: d.Rankings},
 	}
 }
@@ -236,7 +236,7 @@ func bnbRequest(t *testing.T) server.AggregateRequest {
 func TestServerMaxTimeoutReturnsIncumbent(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{MaxTimeout: 150 * time.Millisecond})
 	req := bnbRequest(t)
-	req.TimeoutMS = 60_000 // clamped to the server's 150ms
+	req.Spec.TimeoutMS = 60_000 // clamped to the server's 150ms
 	start := time.Now()
 	resp, data := postAggregate(t, ts.URL, req)
 	elapsed := time.Since(start)
@@ -369,7 +369,7 @@ func TestConcurrentClientsShareOneMatrix(t *testing.T) {
 		go func(name string) {
 			defer wg.Done()
 			req := server.AggregateRequest{
-				Algorithm:   name,
+				Spec:        &rankagg.RunSpec{Algorithm: name},
 				DatasetWire: rankings.DatasetWire{N: d.N, Rankings: d.Rankings},
 			}
 			body, err := json.Marshal(req)
@@ -495,8 +495,8 @@ func TestMetricsExposition(t *testing.T) {
 
 // TestMatrixModeWiring pins the -matrix-mode plumbing end to end: the
 // configured mode reaches the sessions the server builds (CacheStats
-// bytes shrink accordingly) and is exposed on /metrics together with the
-// rankagg_matrix_bytes gauge of the real backing size.
+// bytes shrink accordingly) and is exposed on /metrics, where
+// rankagg_cache_bytes carries the one cached matrix's real backing size.
 func TestMatrixModeWiring(t *testing.T) {
 	// The 4-element complete dataset of smallRequest: int32 needs
 	// 3·4·16 = 192 bytes, int16 tiled + derived-tied 2·2·16 = 64, and the
@@ -527,7 +527,6 @@ func TestMatrixModeWiring(t *testing.T) {
 		resp.Body.Close()
 		text := string(data)
 		for _, want := range []string{
-			fmt.Sprintf("rankagg_matrix_bytes %d", tc.bytes),
 			fmt.Sprintf("rankagg_matrix_mode{mode=%q} 1", tc.modeLabel),
 			fmt.Sprintf("rankagg_cache_bytes %d", tc.bytes),
 		} {

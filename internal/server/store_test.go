@@ -145,6 +145,30 @@ func TestDatasetResourceLifecycle(t *testing.T) {
 	}
 }
 
+// TestConsensusNamesFromStore: the element names of a persisted dataset
+// come from the store whatever the caches hold, so every by-hash answer
+// carries consensus_names — the first solve, its consensus hit and runs on
+// the session it left cached.
+func TestConsensusNamesFromStore(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{Store: openStore(t, t.TempDir())})
+	wire := smallRequest("BioConsert").DatasetWire
+	created, _ := putDataset(t, ts.URL, wire)
+	u := rankings.NewUniverse()
+	for _, nm := range wire.Names {
+		u.ID(nm)
+	}
+	for i, alg := range []string{"BioConsert", "BioConsert", "BordaCount", "lehmer"} {
+		agg, _ := aggregateHash(t, ts.URL, created.DatasetHash, alg)
+		want := rankings.BucketNames(agg.Consensus, u)
+		if i == 0 && !slices.EqualFunc(want, [][]string{{"A"}, {"D"}, {"B", "C"}}, slices.Equal) {
+			t.Fatalf("BioConsert consensus %v, want the §2.2 optimum [{A},{D},{B,C}]", want)
+		}
+		if !slices.EqualFunc(agg.ConsensusNames, want, slices.Equal) {
+			t.Errorf("request %d (%s, consensus_hit=%v): consensus_names %v, want %v", i, alg, agg.ConsensusHit, agg.ConsensusNames, want)
+		}
+	}
+}
+
 // TestPersistedRestartRecovery is the tentpole acceptance test at the
 // serving layer: create + PATCH + aggregate against a store-backed server,
 // then bring up a FRESH server + store on the same data dir (the restart)
@@ -317,8 +341,8 @@ func TestPatchEvictedPersistedDataset(t *testing.T) {
 }
 
 // TestBatchPatchWire pins the ops wire's contract: multi-op atomicity (one
-// failing op rejects the whole batch, nothing logged), the ops/legacy
-// exclusivity, and per-op shape validation.
+// failing op rejects the whole batch, nothing logged), the retired flat
+// lists rejected alone and beside "ops", and per-op shape validation.
 func TestBatchPatchWire(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	_, ts := newTestServer(t, server.Config{Store: st})
@@ -365,10 +389,66 @@ func TestBatchPatchWire(t *testing.T) {
 		`{"ops":[{"add":[[0],[1],[2],[3]],"remove":[[0],[1],[2],[3]]}]}`, // both in one op
 		`{"ops":[{}]}`, // neither
 		`{"ops":[{"add":[[0],[1],[2],[3]]}],"add":[[[0],[1],[2],[3]]]}`, // ops + legacy
+		`{"add":[[[0],[1],[2],[3]]]}`,                                   // the retired flat list
+		`{"ops":[{"add":[[0],[1],[2],[3]]}],"remove":[]}`,               // ops + an empty legacy list
 	} {
 		resp, data = doPatch(t, ts.URL, patched.DatasetHash, bad)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("bad wire %s: %d %s, want 400", bad, resp.StatusCode, data)
+		}
+	}
+	if after, _ := st.Info(patched.DatasetHash); after.Version != 3 || after.LogRecords != 1 {
+		t.Fatalf("a rejected wire form mutated the store: %+v", after)
+	}
+}
+
+// TestPersistedVersionAfterCompaction: a persisted dataset reports the
+// store's mutation version on GET /v1/datasets/{hash} and in the listing,
+// also once a compaction has folded its deltas into the snapshot and a
+// by-hash aggregate has rebuilt its session from that snapshot.
+func TestPersistedVersionAfterCompaction(t *testing.T) {
+	st, err := store.Open(store.Config{Dir: t.TempDir(), ReplayBudget: 1})
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	t.Cleanup(func() { st.Close() })
+	_, ts := newTestServer(t, server.Config{Store: st})
+	created, _ := putDataset(t, ts.URL, smallRequest("x").DatasetWire)
+	hash := created.DatasetHash
+	for range 3 {
+		resp, data := doPatch(t, ts.URL, hash, server.PatchRequest{Ops: []server.PatchOp{{Add: extraRanking()}}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("PATCH: %d %s", resp.StatusCode, data)
+		}
+		var patched server.PatchResponse
+		decodeJSON(t, data, &patched)
+		hash = patched.DatasetHash
+	}
+	stored, ok := st.Info(hash)
+	if !ok || stored.Version != 3 || stored.LogRecords >= 3 {
+		t.Fatalf("store after three PATCHes under ReplayBudget 1: %+v ok=%v, want version 3 and a compacted log", stored, ok)
+	}
+	for _, when := range []string{"before the rebuild", "after the rebuild"} {
+		if info := datasetInfo(t, ts.URL, hash); info.Version != 3 || info.M != 6 {
+			t.Errorf("%s: GET /v1/datasets/%s: version %d m %d, want 3 and 6", when, hash, info.Version, info.M)
+		}
+		resp, data := doJSON(t, http.MethodGet, ts.URL+"/v1/datasets", nil)
+		var list struct {
+			Datasets []server.DatasetListEntry `json:"datasets"`
+		}
+		if err := json.Unmarshal(data, &list); err != nil || resp.StatusCode != http.StatusOK || len(list.Datasets) != 1 {
+			t.Fatalf("GET /v1/datasets: %d %s (%v)", resp.StatusCode, data, err)
+		}
+		if e := list.Datasets[0]; e.Version != 3 || e.M != 6 {
+			t.Errorf("%s: listing %+v, want version 3 and m 6", when, e)
+		}
+		if when == "before the rebuild" {
+			if agg, _ := aggregateHash(t, ts.URL, hash, "BioConsert"); agg.CacheHit {
+				t.Fatalf("first by-hash aggregate reports a cache hit: %+v", agg)
+			}
+			if info := datasetInfo(t, ts.URL, hash); !info.Cached {
+				t.Fatalf("the by-hash aggregate left no cached session: %+v", info)
+			}
 		}
 	}
 }

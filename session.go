@@ -626,36 +626,6 @@ func RunMatrixFree(ctx context.Context, name string, d *Dataset, opts ...Option)
 	return runMatrixFree(ctx, a, d, cfg)
 }
 
-// RunMatrixFreeSpec is RunMatrixFree driven by a canonical RunSpec instead
-// of a name + options: the spec normalizes through the same
-// RunSpec.Normalize as every other surface, then runs on the
-// approximation-tier path. Options apply on top of the spec.
-func RunMatrixFreeSpec(ctx context.Context, spec RunSpec, d *Dataset, opts ...Option) (*Result, error) {
-	norm, err := spec.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	var cfg runConfig
-	cfg.spec.merge(norm)
-	for _, o := range opts {
-		o(&cfg)
-	}
-	a, err := core.New(norm.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	if !core.IsMatrixFree(a) {
-		return nil, fmt.Errorf("rankagg: %s is not a matrix-free algorithm (approximation tier: lehmer, avgrank, scores)", norm.Algorithm)
-	}
-	if err := approx.CheckInput(d); err != nil {
-		return nil, err
-	}
-	if cfg.pairs != nil {
-		return nil, fmt.Errorf("%w: %s never reads pair counts; drop the WithPairs option", ErrMatrixFreePairs, a.Name())
-	}
-	return runMatrixFree(ctx, a, d, cfg)
-}
-
 // runOptions lowers the config into the core layer's per-run parameters.
 // WithTimeLimit's duration wins over the spec's millisecond field when both
 // are set — it is the more precise spelling of the same knob.
