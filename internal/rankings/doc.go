@@ -178,6 +178,95 @@ func (r *DocReader) Ranking() (rk *Ranking, maxE int, err error) {
 	return &Ranking{Buckets: buckets}, maxE, nil
 }
 
+// TopLists reads an array of top-k lists at the cursor, or null, as the
+// "toplists" wire carries them (TopListsWire): each list holds element
+// IDs, best first. It returns what TopListsWire.Decode makes of the lists
+// encoding/json would decode, before the universe rules WireDataset
+// applies: null gives a nil slice, [] an empty one, a null element reads
+// as 0, and each list becomes a ranking of one-element buckets. A list's
+// elements are copied into one array of their own and each bucket is a
+// window of it, so a list is held in three allocations however long it
+// is, where FromPermutation makes one per element.
+// Each list is checked once, as it is read: it must hold an element, and
+// no negative or repeated one; maxE is the largest element of any list
+// (-1 if none). An error names the index of the list it is about, in
+// TopListsWire.Decode's words.
+func (r *DocReader) TopLists() (rks []*Ranking, maxE int, err error) {
+	d := &r.d
+	switch d.skipSpace() {
+	case 'n':
+		return nil, -1, d.null()
+	case '[':
+	default:
+		return nil, -1, d.syntaxError("looking for an array of top-k lists")
+	}
+	if err := r.open(); err != nil {
+		return nil, -1, err
+	}
+	rks, maxE = []*Ranking{}, -1
+	if d.skipSpace() == ']' {
+		d.off++
+		r.depth--
+		return rks, maxE, nil
+	}
+	for {
+		rk, m, err := r.topList(len(rks))
+		if err != nil {
+			return nil, -1, err
+		}
+		rks = append(rks, rk)
+		maxE = max(maxE, m)
+		switch d.skipSpace() {
+		case ',':
+			d.off++
+		case ']':
+			d.off++
+			r.depth--
+			return rks, maxE, nil
+		default:
+			return nil, -1, d.syntaxError("after a top-k list")
+		}
+	}
+}
+
+// topList reads and checks the i-th top-k list at the cursor.
+func (r *DocReader) topList(i int) (*Ranking, int, error) {
+	d := &r.d
+	switch d.skipSpace() {
+	case 'n':
+		// encoding/json reads null as a nil list, which is empty.
+		if err := d.null(); err != nil {
+			return nil, -1, topListError(i, err)
+		}
+		return nil, -1, emptyTopList(i)
+	case '[':
+	default:
+		return nil, -1, topListError(i, d.syntaxError("looking for a top-k list"))
+	}
+	if err := r.open(); err != nil {
+		return nil, -1, topListError(i, err)
+	}
+	d.flat = d.flat[:0]
+	scratch, err := d.bucket()
+	if err != nil {
+		return nil, -1, topListError(i, err)
+	}
+	r.depth--
+	if len(scratch) == 0 {
+		return nil, -1, emptyTopList(i)
+	}
+	flat := append([]int(nil), scratch...)
+	buckets := make([][]int, len(flat))
+	for k := range flat {
+		buckets[k] = flat[k : k+1 : k+1]
+	}
+	maxE, err := validate(buckets)
+	if err != nil {
+		return nil, -1, topListError(i, err)
+	}
+	return &Ranking{Buckets: buckets}, maxE, nil
+}
+
 // Decode reads the value at the cursor into v with encoding/json, which
 // sees only that value's bytes: the reader checks them first, so
 // encoding/json can fail only on a value v cannot hold.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -188,5 +189,82 @@ func TestDocReaderRankings(t *testing.T) {
 	_, _, err := NewDocReader([]byte(`[[[0]],[[1]],[[2,2]]]`)).Rankings()
 	if err == nil || !strings.HasPrefix(err.Error(), "ranking 2: ") {
 		t.Errorf("error %v, want one naming ranking 2", err)
+	}
+}
+
+// TestDocReaderTopLists: an array of top-k lists reads as encoding/json
+// decodes it into [][]int followed by TopListsWire.Decode's list check,
+// with the same rankings, the same largest element and the same error
+// text, and each list costs a fixed number of allocations however long it
+// is.
+func TestDocReaderTopLists(t *testing.T) {
+	for _, c := range []string{
+		`null`, `[]`, `[null]`, `[[]]`, `[[0]]`, ` [ [ 3 , 1 , 2 ] , [ 0 ] ] `, `[[5,null,1],[2]]`,
+		`[[0],[1,1]]`, `[[0],[-1]]`, `[[0],[]]`, `[[0],null,[1]]`, `[[0],5]`, `[[0],{}]`, `[[0]`, `{}`,
+		`[[1.0]]`, `[[1e2]]`, `[[-0]]`, `[[9223372036854775807]]`, `[[9223372036854775808]]`,
+		`[[-9223372036854775808]]`, `[[0],[[1]]]`, `[[0],["1"]]`, `[[0,],[1]]`, `[[0] [1]]`,
+	} {
+		var lists [][]int
+		wantErr := json.Unmarshal([]byte(c), &lists)
+		for i, list := range lists {
+			if wantErr != nil {
+				break
+			}
+			// TopListsWire.Decode's check of each list.
+			if len(list) == 0 {
+				wantErr = emptyTopList(i)
+			} else if err := FromPermutation(list).Validate(); err != nil {
+				wantErr = topListError(i, err)
+			}
+		}
+		r := NewDocReader([]byte(c))
+		got, maxE, err := r.TopLists()
+		if err == nil {
+			err = r.End()
+		}
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("TopLists(%s): err = %v, encoding/json and the list check err = %v", c, err, wantErr)
+		}
+		if err != nil {
+			if strings.HasPrefix(wantErr.Error(), "rankings: top-list") && err.Error() != wantErr.Error() {
+				t.Errorf("TopLists(%s): err = %v, the list check err = %v", c, err, wantErr)
+			}
+			continue
+		}
+		var want []*Ranking
+		if lists != nil {
+			want = []*Ranking{}
+		}
+		wantMax := -1
+		for _, list := range lists {
+			want = append(want, FromPermutation(list))
+			wantMax = max(wantMax, slices.Max(list))
+		}
+		if !reflect.DeepEqual(got, want) || maxE != wantMax {
+			t.Fatalf("TopLists(%s) = %v (largest %d), want %v (largest %d)", c, got, maxE, want, wantMax)
+		}
+	}
+
+	const lists, k = 64, 64
+	var sb strings.Builder
+	sb.WriteByte('[')
+	for i := range lists {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		b, _ := json.Marshal(rand.New(rand.NewSource(int64(i))).Perm(1000)[:k])
+		sb.Write(b)
+	}
+	sb.WriteByte(']')
+	doc := []byte(sb.String())
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := NewDocReader(doc).TopLists(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Three hold each list and one is its check's bitmap; the reader's
+	// scratch and the result slice grow by doubling.
+	if allocs > 4*lists+32 {
+		t.Errorf("TopLists of %d lists of %d elements: %v allocations", lists, k, allocs)
 	}
 }

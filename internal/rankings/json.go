@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 )
 
@@ -14,9 +15,6 @@ import (
 // buffer of the exact final size: a consensus over a large universe is
 // encoded into every response and every stored result that carries it.
 func (r *Ranking) MarshalJSON() ([]byte, error) {
-	if r.Buckets == nil {
-		return []byte("[]"), nil
-	}
 	size := listLen(len(r.Buckets))
 	for _, b := range r.Buckets {
 		if b == nil {
@@ -28,7 +26,15 @@ func (r *Ranking) MarshalJSON() ([]byte, error) {
 			size += decimalLen(e)
 		}
 	}
-	buf := make([]byte, 0, size)
+	return r.AppendJSON(make([]byte, 0, size)), nil
+}
+
+// AppendJSON appends the bytes MarshalJSON returns to buf: a writer of a
+// document holding many rankings appends them all to one buffer.
+func (r *Ranking) AppendJSON(buf []byte) []byte {
+	if r.Buckets == nil {
+		return append(buf, "[]"...)
+	}
 	buf = append(buf, '[')
 	for i, b := range r.Buckets {
 		if i > 0 {
@@ -47,7 +53,7 @@ func (r *Ranking) MarshalJSON() ([]byte, error) {
 		}
 		buf = append(buf, ']')
 	}
-	return append(buf, ']'), nil
+	return append(buf, ']')
 }
 
 // listLen is the length of a JSON array of k items apart from the items:
@@ -310,39 +316,78 @@ type DatasetWire struct {
 // Decode validates the wire form and returns the dataset, plus the universe
 // when the payload carried element names (nil otherwise).
 func (w *DatasetWire) Decode() (*Dataset, *Universe, error) {
-	if len(w.Rankings) == 0 {
+	return WireDataset(w.N, w.Names, w.Rankings, inferMax(w.N, w.Rankings), false, false)
+}
+
+// inferMax is what WireDataset needs of rankings it is to check itself:
+// for a universe size n of 0, which it infers, the largest element of the
+// non-null rankings below math.MaxInt (whose successor does not fit an
+// int), -1 if there is none; for any other n, nothing, so -1 without
+// reading them.
+func inferMax(n int, rks []*Ranking) int {
+	maxE := -1
+	if n != 0 {
+		return maxE
+	}
+	for _, r := range rks {
+		if r == nil {
+			continue // rejected by WireDataset
+		}
+		if m := r.MaxElement(); m < math.MaxInt {
+			maxE = max(maxE, m)
+		}
+	}
+	return maxE
+}
+
+// WireDataset is the last step of reading a dataset from any of its wire
+// forms (DatasetWire.Decode, TopListsWire.Decode, and a one-pass reader of
+// either), once the rankings are in hand:
+//   - a dataset of no rankings is ErrNoRankings;
+//   - an n of 0 is inferred: one more than the largest element maxE, or the
+//     name count if that is larger;
+//   - no ranking may be null or name an element outside [0, n);
+//   - names, when given, must be n distinct strings; they become the
+//     returned universe, which is nil without names.
+//
+// checked reports that every ranking has passed Ranking.Validate and that
+// maxE is the largest element among them, as the ranking scanner and
+// DocReader.TopLists guarantee: the rankings are then not read again
+// unless one is at fault, and Dataset.Validate runs only to name it.
+// Otherwise Dataset.Validate checks every ranking, and maxE only sizes the
+// universe. topLists words the duplicate-names error as TopListsWire.Decode
+// does.
+func WireDataset(n int, names []string, rks []*Ranking, maxE int, checked, topLists bool) (*Dataset, *Universe, error) {
+	if len(rks) == 0 {
 		return nil, nil, ErrNoRankings
 	}
-	n := w.N
 	if n == 0 {
-		for _, r := range w.Rankings {
-			if r == nil {
-				continue // rejected by d.Validate below
-			}
-			if m := r.MaxElement() + 1; m > n {
-				n = m
-			}
-		}
-		if len(w.Names) > n {
-			n = len(w.Names)
+		n = len(names)
+		if maxE < math.MaxInt {
+			n = max(n, maxE+1)
 		}
 	}
-	d := &Dataset{N: n, Rankings: w.Rankings}
-	if err := d.Validate(); err != nil {
-		return nil, nil, err
+	d := &Dataset{N: n, Rankings: rks}
+	if !checked || n < 0 || maxE >= n || slices.Contains(rks, nil) {
+		if err := d.Validate(); err != nil {
+			return nil, nil, err
+		}
 	}
-	var u *Universe
-	if len(w.Names) > 0 {
-		if len(w.Names) != n {
-			return nil, nil, fmt.Errorf("rankings: %d names for %d elements", len(w.Names), n)
+	if len(names) == 0 {
+		return d, nil, nil
+	}
+	if len(names) != n {
+		return nil, nil, fmt.Errorf("rankings: %d names for %d elements", len(names), n)
+	}
+	u := NewUniverse()
+	for _, nm := range names {
+		u.ID(nm)
+	}
+	if u.Size() != n {
+		if topLists {
+			return nil, nil, fmt.Errorf("rankings: duplicate names in top-lists payload")
 		}
-		u = NewUniverse()
-		for _, nm := range w.Names {
-			u.ID(nm)
-		}
-		if u.Size() != n {
-			return nil, nil, fmt.Errorf("rankings: duplicate names in JSON dataset")
-		}
+		return nil, nil, fmt.Errorf("rankings: duplicate names in JSON dataset")
 	}
 	return d, u, nil
 }

@@ -33,40 +33,16 @@ func (w *TopListsWire) Decode() (*Dataset, *Universe, error) {
 	rks := make([]*Ranking, len(w.TopLists))
 	for i, list := range w.TopLists {
 		if len(list) == 0 {
-			return nil, nil, fmt.Errorf("rankings: top-list %d is empty", i)
+			return nil, nil, emptyTopList(i)
 		}
 		rks[i] = FromPermutation(list)
 		if err := rks[i].Validate(); err != nil {
-			return nil, nil, fmt.Errorf("rankings: top-list %d: %w", i, err)
+			return nil, nil, topListError(i, err)
 		}
 	}
-	n := w.N
-	if n == 0 {
-		for _, r := range rks {
-			if m := r.MaxElement() + 1; m > n {
-				n = m
-			}
-		}
-		if len(w.Names) > n {
-			n = len(w.Names)
-		}
-	}
-	d := &Dataset{N: n, Rankings: rks}
-	if err := d.Validate(); err != nil {
-		return nil, nil, err
-	}
-	var u *Universe
-	if len(w.Names) > 0 {
-		if len(w.Names) != n {
-			return nil, nil, fmt.Errorf("rankings: %d names for %d elements", len(w.Names), n)
-		}
-		u = NewUniverse()
-		for _, nm := range w.Names {
-			u.ID(nm)
-		}
-		if u.Size() != n {
-			return nil, nil, fmt.Errorf("rankings: duplicate names in top-lists payload")
-		}
-	}
-	return d, u, nil
+	return WireDataset(w.N, w.Names, rks, inferMax(w.N, rks), false, true)
 }
+
+func emptyTopList(i int) error { return fmt.Errorf("rankings: top-list %d is empty", i) }
+
+func topListError(i int, err error) error { return fmt.Errorf("rankings: top-list %d: %w", i, err) }

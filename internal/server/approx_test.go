@@ -455,3 +455,52 @@ func TestHugeMaxElementsIsNoCap(t *testing.T) {
 		t.Errorf("X-Rankagg-Tier = %q, want exact", got)
 	}
 }
+
+// TestPutOverBudgetHeldMatrixFree: on an ephemeral server, PUT holds a
+// complete dataset whose pair matrix is over the budget as an approx-tier
+// session, as the router serves the same dataset POSTed inline: 201, a
+// by-hash BordaCount answers from the approx tier, and an ops PATCH
+// applies there. Under -approx-mode off the PUT stays a matrix-budget
+// 413, and a budget that cannot hold the approx state answers an
+// approx-budget 413.
+func TestPutOverBudgetHeldMatrixFree(t *testing.T) {
+	wire := overBudgetRequest("").DatasetWire
+	_, ts := newTestServer(t, server.Config{MaxElements: routeMaxElements})
+	created, code := putDataset(t, ts.URL, wire)
+	if code != http.StatusCreated || created.Persisted || created.N != overBudgetN || created.M != 2 {
+		t.Fatalf("PUT of an over-budget dataset: %d %+v, want 201, not persisted, n=%d m=2", code, created, overBudgetN)
+	}
+	res, resp := aggregateHash(t, ts.URL, created.DatasetHash, "BordaCount")
+	if !res.Approx || resp.Header.Get("X-Rankagg-Tier") != "approx" || res.DatasetHash != created.DatasetHash {
+		t.Fatalf("by-hash BordaCount: approx=%v tier=%q hash=%s, want the approx tier on %s",
+			res.Approx, resp.Header.Get("X-Rankagg-Tier"), res.DatasetHash, created.DatasetHash)
+	}
+	add := rankings.FromPermutation(identityPerm(overBudgetN)[1:])
+	add.Buckets = append(add.Buckets, []int{0})
+	resp, data := doPatch(t, ts.URL, created.DatasetHash, map[string]any{"ops": []map[string]any{{"add": add}}})
+	var patched server.PatchResponse
+	decodeJSON(t, data, &patched)
+	if resp.StatusCode != http.StatusOK || !patched.Approx || patched.ApproxDeltas != 1 || patched.M != 3 {
+		t.Fatalf("PATCH: %d %s, want 200 applied on the approx tier", resp.StatusCode, data)
+	}
+	if st := scrape(t, ts.URL); !strings.Contains(st, "rankagg_cache_matrix_builds_total 0") {
+		t.Errorf("a pair matrix was built:\n%s", st)
+	}
+
+	for _, c := range []struct {
+		cfg    server.Config
+		reason string
+	}{
+		{server.Config{MaxElements: routeMaxElements, ApproxMode: server.ApproxOff}, "matrix-budget"},
+		{server.Config{MaxElements: 32}, "approx-budget"},
+	} {
+		_, ts := newTestServer(t, c.cfg)
+		resp, data := doJSON(t, http.MethodPut, ts.URL+"/v1/datasets", wire)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%+v: PUT answered %d %s, want 413", c.cfg, resp.StatusCode, data)
+		}
+		if want := fmt.Sprintf(`rankagg_admission_rejected_total{reason=%q} 1`, c.reason); !strings.Contains(scrape(t, ts.URL), want) {
+			t.Errorf("%+v: metrics miss %s", c.cfg, want)
+		}
+	}
+}

@@ -8,9 +8,12 @@ package server
 // (POST /v1/aggregate takes the dataset inline instead).
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"net/http"
 	"slices"
+	"strings"
 
 	"rankagg"
 	"rankagg/internal/cache"
@@ -36,7 +39,9 @@ type DatasetCreateResponse struct {
 // (n/names/rankings), or "toplists" — one best-first element-ID list per
 // voter, the approximation tier's compact shape. A toplists dataset
 // decodes incomplete and is served exclusively by that tier; PATCHing it
-// later admits partial adds (more top-k lists).
+// later admits partial adds (more top-k lists). The handler reads the body
+// in one pass (readPutBody) to the values encoding/json would decode into
+// this type.
 type DatasetPutRequest struct {
 	rankings.DatasetWire
 	TopLists [][]int `json:"toplists,omitempty"`
@@ -48,20 +53,38 @@ type DatasetPutRequest struct {
 // deferred to the first aggregation. Without a store the dataset becomes a
 // cache entry: a matrix-tier session with an eagerly built matrix for
 // complete datasets (it must hold its own weight against the budget), an
-// approx-tier session for incomplete ones (there is no matrix to build).
+// approx-tier session for incomplete ones (there is no matrix to build)
+// and for complete ones whose matrix is over the budget, which the router
+// serves matrix-free (413 under -approx-mode off, as for a POST).
 func (s *Server) handlePutDatasets(w http.ResponseWriter, r *http.Request) {
-	var wire DatasetPutRequest
-	if !s.decodeBody(w, r, &wire) {
+	// The declared length sizes the buffer, up to putBodyHint: a client
+	// that declares more must send it before the buffer grows past that.
+	var body bytes.Buffer
+	body.Grow(int(min(max(r.ContentLength, 0), putBodyHint)) + bytes.MinRead)
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody)); err != nil {
+		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid request body: %v", err))
 		return
 	}
-	d, _, err := decodeDataset(wire.DatasetWire, wire.TopLists)
+	d, names, err := readPutBody(body.Bytes())
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// An incomplete dataset is the approximation tier's alone; its O(n)
-	// state must fit the budget before the store or the cache hashes it.
-	if !d.Complete() && !s.admitApprox(w, d) {
+	approx := !d.Complete()
+	if !approx && s.store == nil {
+		// The matrix is built now, so it must pass the same admission the
+		// equivalent POST would.
+		if need, over := s.matrixOverBudget(d.N, d.M(), true, 0); over {
+			if s.approxMode == ApproxOff {
+				s.writeOverBudget(w, matrixBudget, fmt.Sprintf("dataset has %d elements and its %s pair matrix", d.N, s.matrixMode), need)
+				return
+			}
+			approx = true
+		}
+	}
+	// An approx-tier dataset's O(n) state must fit the budget before the
+	// store or the cache hashes it.
+	if approx && !s.admitApprox(w, d) {
 		return
 	}
 	var (
@@ -70,25 +93,19 @@ func (s *Server) handlePutDatasets(w http.ResponseWriter, r *http.Request) {
 	)
 	switch {
 	case s.store != nil:
-		if hash, created, err = s.store.Create(d, wire.Names); err != nil {
+		if hash, created, err = s.store.Create(d, names); err != nil {
 			s.log.Printf("create dataset: %v", err)
 			s.writeError(w, http.StatusInternalServerError, "persisting the dataset failed")
 			return
 		}
-	case !d.Complete():
-		// Only the approx tier can hold an incomplete dataset: its
-		// delta-maintainable session is the cache entry, weighed by its
-		// O(n + Σ L_i) state, admitted above instead of by the matrix check.
+	case approx:
+		// The approx tier's delta-maintainable session is the cache entry,
+		// weighed by its O(n + Σ L_i) state, admitted above instead of by
+		// the matrix check.
 		hash, created, err = putSession(s.approx, func() (*rankagg.ApproxSession, error) {
 			return rankagg.NewApproxSession(d)
 		}, func(*rankagg.ApproxSession) {})
 	default:
-		// The matrix is built now, so it must pass the same admission the
-		// equivalent POST would.
-		if need, over := s.matrixOverBudget(d.N, d.M(), true, 0); over {
-			s.writeOverBudget(w, matrixBudget, fmt.Sprintf("dataset has %d elements and its %s pair matrix", d.N, s.matrixMode), need)
-			return
-		}
 		hash, created, err = putSession(s.cache, func() (*rankagg.Session, error) {
 			return rankagg.NewSession(d, rankagg.WithMatrixMode(s.matrixMode))
 		}, func(sess *rankagg.Session) { sess.Pairs() })
@@ -104,6 +121,104 @@ func (s *Server) handlePutDatasets(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, code, DatasetCreateResponse{
 		DatasetHash: hash, N: d.N, M: d.M(), Created: created, Persisted: s.store != nil,
 	})
+}
+
+// putBodyHint bounds how much of a PUT body's declared length is
+// allocated before the bytes arrive.
+const putBodyHint = 1 << 20
+
+// errTopListsAgain makes readPutBody read a body a second time, with
+// encoding/json decoding its "toplists".
+var errTopListsAgain = errors.New("read the top-k lists again")
+
+// readPutBody reads a PUT /v1/datasets body in one pass and returns the
+// dataset and the element names it carries: n and names go through
+// encoding/json, rankings straight to the ranking scanner
+// (DocReader.Rankings) and top-k lists to windowed rankings
+// (DocReader.TopLists), each ranking checked once, then the universe rules
+// (rankings.WireDataset); any other member is skipped. It accepts exactly
+// the bodies a json.Decoder reading a DatasetPutRequest and then
+// decodeDataset accept, with the same dataset and names, quirks included:
+// only the first JSON value is read, and an empty body is the zero
+// request; keys match by exact name, else by strings.EqualFold; a repeated
+// key is read again into the same field.
+//
+// encoding/json decodes a repeated "toplists" into the lists the one
+// before it left, so a null element of the later one keeps the earlier
+// value, and it checks the lists only once the whole body is read, so a
+// later "toplists" replaces one that would fail. A body that repeats the
+// key, or whose lists fail their check, is therefore read again with
+// encoding/json decoding its top-k lists and decodeDataset checking them.
+func readPutBody(body []byte) (*rankings.Dataset, []string, error) {
+	d, names, err := readPutMembers(body, false)
+	if errors.Is(err, errTopListsAgain) {
+		d, names, err = readPutMembers(body, true)
+	}
+	return d, names, err
+}
+
+// readPutMembers is one read of readPutBody; slow decodes every
+// "toplists" with encoding/json.
+func readPutMembers(body []byte, slow bool) (*rankings.Dataset, []string, error) {
+	var (
+		n                int
+		names            []string
+		rks, tops        []*rankings.Ranking
+		rankMax, topsMax = -1, -1
+		lists            [][]int // slow
+		topListsSeen     bool
+	)
+	// A json.Decoder reads an empty or blank body as io.EOF, which
+	// decodeBody takes for the zero request.
+	if len(bytes.Trim(body, " \t\r\n")) > 0 {
+		r := rankings.NewDocReader(body)
+		_, err := r.Object(func(key string) (err error) {
+			switch {
+			case strings.EqualFold(key, "n"):
+				return r.Decode(&n)
+			case strings.EqualFold(key, "names"):
+				return r.Decode(&names)
+			case strings.EqualFold(key, "rankings"):
+				rks, rankMax, err = r.Rankings()
+				return err
+			case strings.EqualFold(key, "toplists"):
+				switch {
+				case slow:
+					return r.Decode(&lists)
+				case topListsSeen:
+					return errTopListsAgain
+				}
+				topListsSeen = true
+				if tops, topsMax, err = r.TopLists(); err != nil {
+					return errTopListsAgain
+				}
+				return nil
+			}
+			return r.Skip()
+		})
+		switch {
+		case errors.Is(err, errTopListsAgain):
+			return nil, nil, err
+		case err != nil:
+			return nil, nil, fmt.Errorf("invalid request body: %w", err)
+		}
+	}
+	var d *rankings.Dataset
+	var err error
+	switch {
+	case slow:
+		d, _, err = decodeDataset(rankings.DatasetWire{N: n, Names: names, Rankings: rks}, lists)
+	case len(tops) == 0:
+		d, _, err = rankings.WireDataset(n, names, rks, rankMax, true, false)
+	case len(rks) > 0:
+		err = errBothWires
+	default:
+		d, _, err = rankings.WireDataset(n, names, tops, topsMax, true, true)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return d, names, nil
 }
 
 // putSession makes a session the cache entry of its dataset on an

@@ -29,6 +29,18 @@
 // runs. POST /v1/aggregate never persists: it is the one-shot surface for
 // a dataset sent inline.
 //
+// Reading a PUT body: PUT /v1/datasets reads its body front to back once
+// (readPutBody, on rankings.DocReader). Rankings go straight to the
+// ranking scanner, top-k lists become rankings of one-element windows
+// over one array per list, each ranking is checked once, and only n and
+// names pass through encoding/json. It accepts exactly the bodies a
+// json.Decoder into DatasetPutRequest accepted, with the same dataset —
+// trailing bytes, case-folded and repeated keys and nulls included — but
+// refuses a body over the body cap even when its first value ends before
+// the cap. The aggregate and PATCH bodies go through a json.Decoder
+// (decodeBody). With a store, the snapshot is written in one pass too: the
+// rankings append to one buffer, byte for byte what json.Marshal wrote.
+//
 // Wire forms: an aggregate body names its run in a nested "spec" object
 // (rankagg.RunSpec: algorithm, seed, restarts, timeout_ms, workers), and a
 // PATCH body carries its delta as "ops". The top-level
@@ -93,7 +105,9 @@
 // declared universe it cannot hold 413s, counted under
 // reason="approx-budget", before it is hashed. One function predicts a
 // matrix against the budget (matrixOverBudget) for admission, the
-// ephemeral PUT and a PATCH of a session the matrix cache holds
+// ephemeral PUT (which, like the router, holds a complete dataset over the
+// budget as an approx-tier session unless -approx-mode is off) and a
+// PATCH of a session the matrix cache holds
 // (reason="delta-budget" for an ephemeral dataset; a persisted one drops
 // that session instead, and its next exact run is admitted anew), and one
 // writer answers every 413.
@@ -413,14 +427,18 @@ func (req *AggregateRequest) runSpec() (rankagg.RunSpec, error) {
 	return req.Spec.Normalize()
 }
 
-// decodeDataset decodes the dataset part of an aggregate or PUT body:
-// "rankings" (with optional "n" and "names"), or "toplists", not both.
+// errBothWires answers a dataset body that carries both wires.
+var errBothWires = errors.New(`supply "rankings" or "toplists", not both`)
+
+// decodeDataset decodes the dataset part of an aggregate body, and of a
+// PUT body readPutBody reads a second time: "rankings" (with optional "n"
+// and "names"), or "toplists", not both.
 func decodeDataset(wire rankings.DatasetWire, topLists [][]int) (*rankings.Dataset, *rankings.Universe, error) {
 	if len(topLists) == 0 {
 		return wire.Decode()
 	}
 	if len(wire.Rankings) > 0 {
-		return nil, nil, errors.New(`supply "rankings" or "toplists", not both`)
+		return nil, nil, errBothWires
 	}
 	tw := rankings.TopListsWire{N: wire.N, Names: wire.Names, TopLists: topLists}
 	return tw.Decode()

@@ -575,3 +575,55 @@ func TestInvalidPersistedConsensusDropped(t *testing.T) {
 		t.Errorf("healthz %d after the aggregates, want 200", resp.StatusCode)
 	}
 }
+
+// TestPatchOntoHeldHashRetiresDuplicate: a PATCH that turns one persisted
+// dataset into the content another one holds leaves a single directory.
+// PUT X and PATCH it to Y; PUT X again, which takes the directory X-1;
+// PATCH that dataset to Y too. The PATCH answers 200 with Y, X-1 is gone
+// from disk, and Y keeps the consensus it had, also after a restart.
+func TestPatchOntoHeldHashRetiresDuplicate(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	_, ts := newTestServer(t, server.Config{Store: st})
+	x := smallRequest("").DatasetWire
+	patch := map[string]any{"ops": []map[string]any{{"add": extraRanking()}}}
+
+	first, _ := putDataset(t, ts.URL, x)
+	resp, data := doPatch(t, ts.URL, first.DatasetHash, patch)
+	var toY server.PatchResponse
+	decodeJSON(t, data, &toY)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("first PATCH: %d %s", resp.StatusCode, data)
+	}
+	y := toY.DatasetHash
+	aggregateHash(t, ts.URL, y, "BordaCount")
+
+	second, code := putDataset(t, ts.URL, x)
+	dup := filepath.Join(dir, "datasets", first.DatasetHash+"-1")
+	if code != http.StatusCreated || second.DatasetHash != first.DatasetHash {
+		t.Fatalf("second PUT of X: %d %+v, want 201 at %s", code, second, first.DatasetHash)
+	}
+	if _, err := os.Stat(dup); err != nil {
+		t.Fatalf("the second X does not live in %s: %v", dup, err)
+	}
+	resp, data = doPatch(t, ts.URL, second.DatasetHash, patch)
+	var again server.PatchResponse
+	decodeJSON(t, data, &again)
+	if resp.StatusCode != http.StatusOK || again.DatasetHash != y {
+		t.Fatalf("second PATCH: %d %s, want 200 at %s", resp.StatusCode, data, y)
+	}
+	if _, err := os.Stat(dup); !os.IsNotExist(err) {
+		t.Errorf("after the PATCH onto %s, %s is still on disk (stat err %v)", y, dup, err)
+	}
+
+	ts.Close()
+	st.Close()
+	_, ts = newTestServer(t, server.Config{Store: openStore(t, dir)})
+	dirs, err := filepath.Glob(filepath.Join(dir, "datasets", "*"))
+	if err != nil || len(dirs) != 1 {
+		t.Errorf("after a restart the store holds directories %v (err %v), want one", dirs, err)
+	}
+	if res, _ := aggregateHash(t, ts.URL, y, "BordaCount"); !res.ConsensusHit {
+		t.Errorf("by-hash BordaCount of %s after a restart: consensus_hit = false, want the incumbent's consensus", y)
+	}
+}

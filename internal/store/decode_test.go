@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -97,6 +98,39 @@ func checkSnapshot(t *testing.T, raw []byte) {
 	gh := (&rankings.Dataset{N: got.N, Rankings: got.Rankings}).Hash()
 	if wh := (&rankings.Dataset{N: want.N, Rankings: want.Rankings}).Hash(); gh != wh {
 		t.Fatalf("readSnapshot(%q): dataset hash %s, oracle %s", raw, gh, wh)
+	}
+	// decode∘encode: what was read writes back as json.Marshal writes it,
+	// and reads back the same, but for an empty name list, which
+	// omitempty leaves out and so reads back as nil.
+	checkSnapshotWriter(t, got)
+	back, err := readSnapshot(mustMarshalSnapshot(t, got))
+	if len(got.Names) == 0 {
+		got.Names = nil
+	}
+	if err != nil || !reflect.DeepEqual(back, got) {
+		t.Fatalf("snapshot %+v read back as %+v (err %v)", got, back, err)
+	}
+}
+
+func mustMarshalSnapshot(t *testing.T, snap *snapshotWire) []byte {
+	t.Helper()
+	raw, err := marshalSnapshot(snap)
+	if err != nil {
+		t.Fatalf("marshalSnapshot(%+v): %v", snap, err)
+	}
+	return raw
+}
+
+// checkSnapshotWriter: marshalSnapshot writes the bytes json.Marshal
+// writes, which is what the store wrote before it had its own writer.
+func checkSnapshotWriter(t *testing.T, snap *snapshotWire) {
+	t.Helper()
+	want, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mustMarshalSnapshot(t, snap); !bytes.Equal(got, want) {
+		t.Fatalf("marshalSnapshot(%+v) =\n%s\njson.Marshal:\n%s", snap, got, want)
 	}
 }
 

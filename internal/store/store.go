@@ -37,6 +37,11 @@
 //   - Delete appends a tombstone record before removing the directory, so
 //     a crash mid-removal finishes the cleanup on the next open instead of
 //     resurrecting a half-deleted dataset.
+//   - A PATCH that turns one dataset into the content another one holds
+//     retires the patched one the same way (tombstone, then removal): the
+//     incumbent keeps the hash and its consensus. Open retires the second
+//     of any two directories that replay to one content, which a crash
+//     before that retirement leaves.
 //
 // Consensus persistence: consensus.json holds the spec-keyed results valid
 // for exactly one dataset state (its current hash at write time) plus at
@@ -228,9 +233,11 @@ func Open(cfg Config) (*Store, error) {
 			continue // tombstoned or unreadable; cleaned up
 		}
 		if _, dup := s.byHash[ds.curHash]; dup {
-			// Two directories replay to the same content — keep the first,
-			// the duplicate holds nothing the index can reach.
-			ds.closeLocked()
+			// Two directories replay to the same content (a crash landed
+			// between a clashing PATCH and its retirement, see
+			// AppendPatch): keep the first, and retire the duplicate,
+			// which nothing can reach.
+			ds.retireLocked()
 			continue
 		}
 		s.byHash[ds.curHash] = ds
@@ -468,8 +475,7 @@ func (s *Store) Create(d *rankings.Dataset, names []string) (hash string, create
 		}
 		dir = filepath.Join(root, fmt.Sprintf("%s-%d", hash, i))
 	}
-	snap := snapshotWire{Hash: hash, N: d.N, Names: names, Rankings: d.Rankings}
-	raw, err := json.Marshal(snap)
+	raw, err := marshalSnapshot(&snapshotWire{Hash: hash, N: d.N, Names: names, Rankings: d.Rankings})
 	if err != nil {
 		os.RemoveAll(dir)
 		return "", false, err
@@ -560,10 +566,21 @@ func (s *Store) AppendPatch(hash string, add, remove []*rankings.Ranking) (newHa
 	// Re-key the index. Lock order: dataset mu → store mu, always.
 	s.mu.Lock()
 	delete(s.byHash, oldHash)
-	if _, clash := s.byHash[newHash]; !clash {
+	_, clash := s.byHash[newHash]
+	if !clash {
 		s.byHash[newHash] = ds
 	}
 	s.mu.Unlock()
+	if clash {
+		// Another dataset already holds this content: it keeps the hash
+		// and its consensus, and this one, which no hash reaches any more,
+		// is retired as Delete retires a dataset. The delta is durable
+		// and its content served either way; a crash before the
+		// retirement leaves two directories of one content, and the next
+		// Open retires one of them.
+		ds.retireLocked()
+		return newHash, ds.infoLocked(), nil
+	}
 
 	// Rotate the persisted consensus in the same critical section: the old
 	// hash's entries can never be served again, their best becomes the new
@@ -584,15 +601,14 @@ func (s *Store) AppendPatch(hash string, add, remove []*rankings.Ranking) (newHa
 // Seq replay as no-ops); the log truncation after it is pure space
 // reclamation. Caller holds ds.mu.
 func (ds *dataset) compactLocked() error {
-	snap := snapshotWire{
+	raw, err := marshalSnapshot(&snapshotWire{
 		Hash:     ds.curHash,
 		Version:  ds.version,
 		Seq:      ds.seq,
 		N:        ds.cur.N,
 		Names:    ds.names,
 		Rankings: ds.cur.Rankings,
-	}
-	raw, err := json.Marshal(snap)
+	})
 	if err != nil {
 		return err
 	}
@@ -629,19 +645,9 @@ func (s *Store) Delete(hash string) (bool, error) {
 	if ds.failed {
 		return false, ErrLogDiverged
 	}
-	rec := logRecord{Seq: ds.seq + 1, Op: opTombstone}
-	payload, err := json.Marshal(rec)
-	if err != nil {
+	if err := ds.tombstoneLocked(); err != nil {
 		return false, err
 	}
-	if _, err := appendRecord(ds.log, payload, ds.logBytes); err != nil {
-		if errors.Is(err, ErrLogDiverged) {
-			ds.failed = true
-		}
-		return false, err
-	}
-	ds.deleted = true
-	ds.closeLocked()
 	s.mu.Lock()
 	delete(s.byHash, hash)
 	s.mu.Unlock()
@@ -649,6 +655,35 @@ func (s *Store) Delete(hash string) (bool, error) {
 		return true, fmt.Errorf("store: removing %s: %w", ds.dir, err)
 	}
 	return true, nil
+}
+
+// tombstoneLocked appends the tombstone record (fsync'd) and marks the
+// dataset deleted; its directory may go after that, since a crash before
+// the removal finishes it on the next Open. Caller holds ds.mu.
+func (ds *dataset) tombstoneLocked() error {
+	payload, err := json.Marshal(logRecord{Seq: ds.seq + 1, Op: opTombstone})
+	if err != nil {
+		return err
+	}
+	if _, err := appendRecord(ds.log, payload, ds.logBytes); err != nil {
+		if errors.Is(err, ErrLogDiverged) {
+			ds.failed = true
+		}
+		return err
+	}
+	ds.deleted = true
+	ds.closeLocked()
+	return nil
+}
+
+// retireLocked tombstones and removes a dataset the index does not hold:
+// one whose content another dataset holds. Caller holds ds.mu. It is best
+// effort: a directory it leaves replays to that content on the next Open,
+// which retires it then.
+func (ds *dataset) retireLocked() {
+	if ds.tombstoneLocked() == nil {
+		os.RemoveAll(ds.dir)
+	}
 }
 
 // Dataset returns the current rankings and names of the dataset at hash.

@@ -1,6 +1,9 @@
 package store
 
 import (
+	"encoding/json"
+	"strconv"
+
 	"rankagg"
 	"rankagg/internal/rankings"
 )
@@ -20,6 +23,66 @@ type snapshotWire struct {
 	N        int                 `json:"n"`
 	Names    []string            `json:"names,omitempty"`
 	Rankings []*rankings.Ranking `json:"rankings"`
+}
+
+// marshalSnapshot encodes snap byte for byte as json.Marshal does, in one
+// pass: every ranking appends its bucket arrays (Ranking.AppendJSON) to
+// one buffer sized up front, instead of marshaling into a buffer of its
+// own that json.Marshal then scans again to compact. The strings go
+// through encoding/json, for its escaping.
+func marshalSnapshot(snap *snapshotWire) ([]byte, error) {
+	hash, err := json.Marshal(snap.Hash)
+	if err != nil {
+		return nil, err
+	}
+	var names []byte
+	if len(snap.Names) > 0 {
+		if names, err = json.Marshal(snap.Names); err != nil {
+			return nil, err
+		}
+	}
+	// An element of a valid dataset has at most as many digits as n-1.
+	elem := len(strconv.Itoa(max(snap.N-1, 0))) + 1
+	size := 96 + len(hash) + len(names)
+	for _, r := range snap.Rankings {
+		size += 3
+		if r != nil {
+			for _, b := range r.Buckets {
+				size += 3 + elem*len(b)
+			}
+		}
+	}
+	buf := make([]byte, 0, size)
+	buf = append(buf, `{"hash":`...)
+	buf = append(buf, hash...)
+	buf = append(buf, `,"version":`...)
+	buf = strconv.AppendUint(buf, snap.Version, 10)
+	buf = append(buf, `,"seq":`...)
+	buf = strconv.AppendInt(buf, snap.Seq, 10)
+	buf = append(buf, `,"n":`...)
+	buf = strconv.AppendInt(buf, int64(snap.N), 10)
+	if names != nil {
+		buf = append(buf, `,"names":`...)
+		buf = append(buf, names...)
+	}
+	buf = append(buf, `,"rankings":`...)
+	if snap.Rankings == nil {
+		buf = append(buf, "null"...)
+	} else {
+		buf = append(buf, '[')
+		for i, r := range snap.Rankings {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			if r == nil {
+				buf = append(buf, "null"...)
+			} else {
+				buf = r.AppendJSON(buf)
+			}
+		}
+		buf = append(buf, ']')
+	}
+	return append(buf, '}'), nil
 }
 
 // logRecord is the payload of one delta-log record. Op "patch" carries one
