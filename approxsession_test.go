@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"rankagg"
-	"rankagg/internal/approx"
 	"rankagg/internal/gen"
 	"rankagg/internal/kendall"
 )
@@ -73,7 +72,7 @@ func TestApproxSessionToplists(t *testing.T) {
 			t.Errorf("%s: session consensus %v, RunMatrixFree %v (approx %v)", name, res.Consensus, ref.Consensus, ref.Approx)
 		}
 	}
-	oracle, err := approx.Lehmer{}.Aggregate(d)
+	oracle, err := rankagg.Aggregate("lehmer", d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +253,7 @@ func TestApproxSessionCancelMidEncode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run after cancelled build: %v", err)
 	}
-	oracle, err := approx.Lehmer{}.Aggregate(d)
+	oracle, err := rankagg.Aggregate("lehmer", d)
 	if err != nil {
 		t.Fatal(err)
 	}

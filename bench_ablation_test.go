@@ -4,11 +4,13 @@ package rankagg
 // quantify what each mechanism buys (or costs) on identical inputs.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
 
 	"rankagg/internal/algo"
+	"rankagg/internal/core"
 	"rankagg/internal/gen"
 	"rankagg/internal/rankings"
 )
@@ -34,7 +36,7 @@ func BenchmarkAblationExactPreprocess(b *testing.B) {
 		b.Run(pre.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e := &algo.ExactBnB{Preprocess: pre.on, TimeLimit: time.Minute}
-				if _, _, err := e.AggregateExact(d); err != nil {
+				if _, err := core.Run(context.Background(), e, d, core.RunOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -55,7 +57,7 @@ func BenchmarkAblationExactPairBound(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e := &algo.ExactBnB{DisablePairBound: v.disable, TimeLimit: time.Minute}
-				if _, _, err := e.AggregateExact(d); err != nil {
+				if _, err := core.Run(context.Background(), e, d, core.RunOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -70,7 +72,7 @@ func BenchmarkAblationBioConsertSeeds(b *testing.B) {
 	d := gen.UniformDataset(rng, 7, 40)
 	b.Run("all-input-seeds", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := (&algo.BioConsert{}).Aggregate(d); err != nil {
+			if _, err := core.Run(context.Background(), &algo.BioConsert{}, d, core.RunOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -78,7 +80,7 @@ func BenchmarkAblationBioConsertSeeds(b *testing.B) {
 	b.Run("single-seed", func(b *testing.B) {
 		seed := d.Rankings[0]
 		for i := 0; i < b.N; i++ {
-			if _, err := (&algo.BioConsert{StartFrom: seed}).Aggregate(d); err != nil {
+			if _, err := (&algo.BioConsert{}).Refine(context.Background(), d, seed, core.RunOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -96,7 +98,7 @@ func BenchmarkAblationKwikSortRuns(b *testing.B) {
 	}{{"runs-1", 1}, {"runs-16", 16}} {
 		b.Run(runs.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := (&algo.KwikSort{Runs: runs.r}).Aggregate(d); err != nil {
+				if _, err := core.Run(context.Background(), &algo.KwikSort{Runs: runs.r}, d, core.RunOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -112,14 +114,14 @@ func BenchmarkAblationLPBVsBnB(b *testing.B) {
 	d := gen.UniformDataset(rng, 4, 7)
 	b.Run("ExactBnB", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := (&algo.ExactBnB{}).AggregateExact(d); err != nil {
+			if _, err := core.Run(context.Background(), &algo.ExactBnB{}, d, core.RunOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("ExactLPB", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := (&algo.ExactLPB{}).AggregateExact(d); err != nil {
+			if _, err := core.Run(context.Background(), &algo.ExactLPB{}, d, core.RunOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}

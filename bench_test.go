@@ -7,11 +7,13 @@ package rankagg
 // code with tunable scales.
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
+	"rankagg/internal/core"
 	"rankagg/internal/eval"
 	"rankagg/internal/gen"
 	"rankagg/internal/kendall"
@@ -153,7 +155,7 @@ func BenchmarkAlgorithm(b *testing.B) {
 		d := sharedDataset()
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := a.Aggregate(d); err != nil {
+				if _, err := core.Run(context.Background(), a, d, core.RunOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

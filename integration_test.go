@@ -5,9 +5,12 @@ package rankagg
 // downstream user follows.
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"rankagg/internal/gen"
 )
@@ -109,5 +112,30 @@ func TestAutoAggregatorPicksAndRuns(t *testing.T) {
 		if p.Score(c) > p.Score(in) {
 			t.Errorf("Auto consensus worse than an input ranking")
 		}
+	}
+}
+
+// TestAutoHonoursRunDeadline: Auto's delegate runs under the run's context
+// and options, so a time limit stops it as it stops BioConsert, the
+// algorithm Auto picks here, and a cancel mid-run returns
+// context.Canceled.
+func TestAutoHonoursRunDeadline(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	s := newTestSession(t, gen.UniformDataset(rng, 40, 300))
+	s.Pairs() // build the matrix before the timed runs
+	for _, name := range []string{"BioConsert", "Auto"} {
+		res, err := s.Run(context.Background(), name, WithTimeLimit(5*time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.DeadlineHit {
+			t.Errorf("%s under a 5ms limit ran %v and reported DeadlineHit false", name, res.Elapsed)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(5*time.Millisecond, cancel)
+	if _, err := s.Run(ctx, "Auto"); !errors.Is(err, context.Canceled) {
+		t.Errorf("Auto cancelled mid-run: err %v, want context.Canceled", err)
 	}
 }

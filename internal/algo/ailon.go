@@ -24,9 +24,8 @@ import (
 type Ailon struct {
 	// Runs of randomized LP rounding; the best result is kept. A
 	// derandomized threshold rounding is always evaluated too.
+	// RunOptions.Restarts overrides it and RunOptions.Seed seeds it.
 	Runs int
-	// Seed for the randomized rounding.
-	Seed int64
 	// MaxElements caps instance size (0 = default 60).
 	MaxElements int
 	// MaxCutRounds caps lazy-constraint rounds (0 = default 60).
@@ -58,22 +57,7 @@ func (e *TimeLimitError) Error() string {
 	return fmt.Sprintf("algo: %s gave up after %v", e.Algo, e.Elapsed)
 }
 
-// Aggregate implements core.Aggregator.
-func (a *Ailon) Aggregate(d *rankings.Dataset) (*rankings.Ranking, error) {
-	return a.AggregateWithPairs(d, nil)
-}
-
-// AggregateWithPairs implements core.PairsAggregator: a nil p is computed
-// from d, a non-nil p must be the pair matrix of d.
-func (a *Ailon) AggregateWithPairs(d *rankings.Dataset, p *kendall.Pairs) (*rankings.Ranking, error) {
-	res, err := a.AggregateCtx(context.Background(), d, core.RunOptions{Pairs: p})
-	if err != nil {
-		return nil, err
-	}
-	return res.Consensus, nil
-}
-
-// AggregateCtx implements core.CtxAggregator. The lazy-cut relaxation loop
+// AggregateCtx implements core.Aggregator. The lazy-cut relaxation loop
 // checks the context between cut rounds (each round is one simplex solve —
 // the coarsest poll interval in the suite, documented here: a cancel during
 // a round returns after that round's solve), and the rounding loop checks
@@ -85,9 +69,6 @@ func (a *Ailon) AggregateWithPairs(d *rankings.Dataset, p *kendall.Pairs) (*rank
 // deadline fires before the first solve finishes, a TimeLimitError is
 // returned (there is nothing to round yet).
 func (a *Ailon) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts core.RunOptions) (*core.RunResult, error) {
-	if err := core.CheckInput(d); err != nil {
-		return nil, err
-	}
 	maxN := a.MaxElements
 	if maxN == 0 {
 		maxN = 60
@@ -95,15 +76,7 @@ func (a *Ailon) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts core
 	if d.N > maxN {
 		return nil, &TooLargeError{N: d.N, Max: maxN}
 	}
-	p := opts.Pairs
-	if p == nil {
-		p = kendall.NewPairs(d)
-	}
-	ctx, cancel := limitCtx(ctx, opts.TimeLimit)
-	defer cancel()
-	if ctx.Err() == context.Canceled {
-		return nil, ctx.Err()
-	}
+	p := pairsFor(d, opts)
 	start := time.Now()
 	u, err := a.solveRelaxation(ctx, p, d.N)
 	if err != nil {
@@ -117,11 +90,7 @@ func (a *Ailon) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts core
 		// Deadline fired before any relaxation solve completed.
 		return nil, &TimeLimitError{Algo: a.Name(), Elapsed: time.Since(start)}
 	}
-	seed := a.Seed
-	if opts.SeedSet {
-		seed = opts.Seed
-	}
-	rng := rand.New(rand.NewSource(seed + 0xa170))
+	rng := rand.New(rand.NewSource(opts.Seed + 0xa170))
 	elems := make([]int, d.N)
 	for i := range elems {
 		elems[i] = i

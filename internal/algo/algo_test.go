@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -19,6 +20,31 @@ func mustDS(t *testing.T, specs ...string) (*rankings.Dataset, *rankings.Univers
 		rks = append(rks, rankings.MustParse(s, u))
 	}
 	return rankings.FromRankings(rks...), u
+}
+
+// aggregate runs a on d through core.Run, the way every caller reaches an
+// algorithm, with opts (at most one; none is the zero RunOptions) and
+// returns the consensus.
+func aggregate(a core.Aggregator, d *rankings.Dataset, opts ...core.RunOptions) (*rankings.Ranking, error) {
+	var o core.RunOptions
+	if len(opts) > 0 {
+		o = opts[0]
+	}
+	rr, err := core.Run(context.Background(), a, d, o)
+	if err != nil {
+		return nil, err
+	}
+	return rr.Consensus, nil
+}
+
+// aggregateExact is aggregate for exact methods: it also reports whether
+// the consensus was proved optimal.
+func aggregateExact(a core.ExactAggregator, d *rankings.Dataset) (*rankings.Ranking, bool, error) {
+	rr, err := core.Run(context.Background(), a, d, core.RunOptions{})
+	if err != nil {
+		return nil, false, err
+	}
+	return rr.Consensus, rr.Proved, nil
 }
 
 // paperTiesDataset is the Section 2.2 example with optimal consensus
@@ -65,7 +91,7 @@ func checkConsensus(t *testing.T, name string, d *rankings.Dataset, r *rankings.
 func TestExactBnBPaperTiesExample(t *testing.T) {
 	d, u := paperTiesDataset(t)
 	e := &ExactBnB{}
-	r, exact, err := e.AggregateExact(d)
+	r, exact, err := aggregateExact(e, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +110,7 @@ func TestExactBnBPaperTiesExample(t *testing.T) {
 
 func TestExactBnBPaperPermutationExample(t *testing.T) {
 	d, _ := mustDS(t, "A>D>B>C", "A>C>B>D", "D>A>C>B")
-	r, exact, err := (&ExactBnB{}).AggregateExact(d)
+	r, exact, err := aggregateExact(&ExactBnB{}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +138,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 
 		for _, pre := range []bool{false, true} {
 			e := &ExactBnB{Preprocess: pre}
-			r, exact, err := e.AggregateExact(d)
+			r, exact, err := aggregateExact(e, d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +153,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 		}
 
 		lpb := &ExactLPB{}
-		r, exact, err := lpb.AggregateExact(d)
+		r, exact, err := aggregateExact(lpb, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,11 +174,11 @@ func TestExactTwoSolversAgreeMedium(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 5; trial++ {
 		d := randomTiedDataset(rng, 4, 7)
-		r1, ex1, err := (&ExactBnB{Preprocess: true}).AggregateExact(d)
+		r1, ex1, err := aggregateExact(&ExactBnB{Preprocess: true}, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, ex2, err := (&ExactLPB{}).AggregateExact(d)
+		r2, ex2, err := aggregateExact(&ExactLPB{}, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +206,7 @@ func TestHeuristicsNeverBeatExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := a.Aggregate(d)
+			r, err := aggregate(a, d)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -206,7 +232,7 @@ func TestAllAlgorithmsOnIdenticalInputs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := a.Aggregate(d)
+		got, err := aggregate(a, d)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -225,10 +251,10 @@ func TestAggregatorsRejectIncompleteAndEmpty(t *testing.T) {
 	empty := rankings.NewDataset(0)
 	for _, name := range core.Names() {
 		a, _ := core.New(name)
-		if _, err := a.Aggregate(incomplete); err == nil {
+		if _, err := aggregate(a, incomplete); err == nil {
 			t.Errorf("%s accepted an incomplete dataset", name)
 		}
-		if _, err := a.Aggregate(empty); err == nil {
+		if _, err := aggregate(a, empty); err == nil {
 			t.Errorf("%s accepted an empty dataset", name)
 		}
 	}

@@ -28,117 +28,44 @@ type Anneal struct {
 	InitialTemp float64
 	// Cooling is the per-sweep multiplier in (0,1); default 0.9.
 	Cooling float64
-	// Seed fixes the random walk.
-	Seed int64
-	// StartFrom overrides the default start (the best input ranking).
-	StartFrom *rankings.Ranking
 }
 
 // Name implements core.Aggregator.
 func (a *Anneal) Name() string { return "Anneal" }
 
-// Aggregate implements core.Aggregator.
-func (a *Anneal) Aggregate(d *rankings.Dataset) (*rankings.Ranking, error) {
-	return a.AggregateWithPairs(d, nil)
-}
-
-// AggregateWithPairs implements core.PairsAggregator: a nil p is computed
-// from d, a non-nil p must be the pair matrix of d.
-func (a *Anneal) AggregateWithPairs(d *rankings.Dataset, p *kendall.Pairs) (*rankings.Ranking, error) {
-	res, err := a.AggregateCtx(context.Background(), d, core.RunOptions{Pairs: p})
-	if err != nil {
-		return nil, err
-	}
-	return res.Consensus, nil
-}
-
-// AggregateCtx implements core.CtxAggregator: the random walk polls the
+// AggregateCtx implements core.Aggregator: the random walk polls the
 // context every pollEvery moves, so cancellation and deadlines propagate
 // mid-anneal. On a deadline the best state ever visited is returned
 // (DeadlineHit) — annealing is the paper's Section 8 anytime approach, and
-// the deadline is simply where "anytime" stops. opts.Seed (when set)
-// replaces the struct Seed.
+// the deadline is simply where "anytime" stops. opts.Seed fixes the walk.
+// The walk starts from the best input ranking, or from opts.WarmStart.
 func (a *Anneal) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts core.RunOptions) (*core.RunResult, error) {
-	if err := core.CheckInput(d); err != nil {
-		return nil, err
-	}
-	p := opts.Pairs
-	if p == nil {
-		p = kendall.NewPairs(d)
-	}
-	ctx, cancel := limitCtx(ctx, opts.TimeLimit)
-	defer cancel()
-	if ctx.Err() == context.Canceled {
-		return nil, ctx.Err()
-	}
-	seed := a.StartFrom
-	warm := false
-	if seed == nil {
-		if w := opts.WarmStart; core.IsFullRanking(w, d.N) {
-			// Start the walk from the prior consensus: the anneal then
-			// spends its sweeps exploring around a known-good optimum
-			// instead of climbing out of an arbitrary input ranking.
-			seed = w
-			warm = true
-		} else {
-			best, err := (PickAPerm{}).AggregateWithPairs(d, p)
-			if err != nil {
-				return nil, err
-			}
-			seed = best
+	p := pairsFor(d, opts)
+	if w := opts.WarmStart; core.IsFullRanking(w, d.N) {
+		// Start the walk from the prior consensus: the anneal then
+		// spends its sweeps exploring around a known-good optimum
+		// instead of climbing out of an arbitrary input ranking.
+		res, err := a.anneal(ctx, d, w, p, opts)
+		if err == nil {
+			res.Stats.WarmStart = true
 		}
+		return res, err
 	}
-	res, err := a.annealCtx(ctx, d, seed, p, opts)
-	if err == nil {
-		res.Stats.WarmStart = warm
-	}
-	return res, err
+	return a.anneal(ctx, d, pickAPerm(d, p), p, opts)
 }
 
 // AcceptsWarmStart implements core.WarmStartable: AggregateCtx starts the
 // walk from RunOptions.WarmStart.
 func (a *Anneal) AcceptsWarmStart() {}
 
-// AggregateFrom implements Seedable: anneal starting from the given
-// solution.
-func (a *Anneal) AggregateFrom(d *rankings.Dataset, seed *rankings.Ranking) (*rankings.Ranking, error) {
-	return a.AggregateFromWithPairs(d, seed, nil)
+// Refine implements Seedable: anneal starting from the given solution.
+func (a *Anneal) Refine(ctx context.Context, d *rankings.Dataset, seed *rankings.Ranking, opts core.RunOptions) (*core.RunResult, error) {
+	return a.anneal(ctx, d, seed, pairsFor(d, opts), opts)
 }
 
-// AggregateFromWithPairs implements PairsSeedable: AggregateFrom with a
-// prebuilt pair matrix.
-func (a *Anneal) AggregateFromWithPairs(d *rankings.Dataset, seed *rankings.Ranking, p *kendall.Pairs) (*rankings.Ranking, error) {
-	res, err := a.AggregateFromCtx(context.Background(), d, seed, core.RunOptions{Pairs: p})
-	if err != nil {
-		return nil, err
-	}
-	return res.Consensus, nil
-}
-
-// AggregateFromCtx implements CtxSeedable: AggregateFrom under a context.
-func (a *Anneal) AggregateFromCtx(ctx context.Context, d *rankings.Dataset, seed *rankings.Ranking, opts core.RunOptions) (*core.RunResult, error) {
-	if err := core.CheckInput(d); err != nil {
-		return nil, err
-	}
-	p := opts.Pairs
-	if p == nil {
-		p = kendall.NewPairs(d)
-	}
-	ctx, cancel := limitCtx(ctx, opts.TimeLimit)
-	defer cancel()
-	if ctx.Err() == context.Canceled {
-		return nil, ctx.Err()
-	}
-	return a.annealCtx(ctx, d, seed, p, opts)
-}
-
-// annealCtx is the annealing loop proper; ctx already carries any deadline.
-func (a *Anneal) annealCtx(ctx context.Context, d *rankings.Dataset, seed *rankings.Ranking, p *kendall.Pairs, opts core.RunOptions) (*core.RunResult, error) {
-	rngSeed := a.Seed
-	if opts.SeedSet {
-		rngSeed = opts.Seed
-	}
-	rng := rand.New(rand.NewSource(rngSeed + 0x5a))
+// anneal is the annealing loop proper, from seed.
+func (a *Anneal) anneal(ctx context.Context, d *rankings.Dataset, seed *rankings.Ranking, p *kendall.Pairs, opts core.RunOptions) (*core.RunResult, error) {
+	rng := rand.New(rand.NewSource(opts.Seed + 0x5a))
 	st := newSearchState(p, seed)
 
 	sweeps := a.Sweeps

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"rankagg/internal/core"
 	"rankagg/internal/gen"
 	"rankagg/internal/kendall"
 	"rankagg/internal/rankings"
@@ -28,7 +29,7 @@ func BenchmarkBioConsertByN(b *testing.B) {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := (&BioConsert{}).Aggregate(d); err != nil {
+				if _, err := aggregate(&BioConsert{}, d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -47,7 +48,7 @@ func BenchmarkBioConsertByN(b *testing.B) {
 		b.Run(s.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := (&BioConsert{Workers: 1}).AggregateWithPairs(s.d, p); err != nil {
+				if _, err := aggregate(&BioConsert{}, s.d, core.RunOptions{Pairs: p, Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -64,7 +65,7 @@ func BenchmarkKwikSortByN(b *testing.B) {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := (&KwikSort{}).Aggregate(d); err != nil {
+				if _, err := aggregate(&KwikSort{}, d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -75,7 +76,7 @@ func BenchmarkKwikSortByN(b *testing.B) {
 	b.Run("KwikSortMin_n200_m20", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := (&KwikSort{Runs: 16}).AggregateWithPairs(d, p); err != nil {
+			if _, err := aggregate(&KwikSort{Runs: 16}, d, core.RunOptions{Pairs: p}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -86,13 +87,10 @@ func BenchmarkKwikSortByN(b *testing.B) {
 func BenchmarkPositionalByN(b *testing.B) {
 	for _, n := range []int{100, 1000} {
 		d := benchDataset(3, 7, n)
-		for _, a := range []interface {
-			Name() string
-			Aggregate(*rankings.Dataset) (*rankings.Ranking, error)
-		}{&Borda{}, &Copeland{}, &MEDRank{H: 0.5}} {
+		for _, a := range []core.Aggregator{&Borda{}, &Copeland{}, &MEDRank{H: 0.5}} {
 			b.Run(fmt.Sprintf("%s_n%d", a.Name(), n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := a.Aggregate(d); err != nil {
+					if _, err := aggregate(a, d); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -107,7 +105,7 @@ func BenchmarkFaginDP(b *testing.B) {
 		d := benchDataset(4, 7, n)
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := (&FaginDyn{}).Aggregate(d); err != nil {
+				if _, err := aggregate(&FaginDyn{}, d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -123,7 +121,7 @@ func BenchmarkExactBnBByN(b *testing.B) {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e := &ExactBnB{TimeLimit: time.Minute}
-				if _, _, err := e.AggregateExact(d); err != nil {
+				if _, _, err := aggregateExact(e, d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -138,7 +136,7 @@ func BenchmarkAilonLP(b *testing.B) {
 		d := benchDataset(6, 5, n)
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := (&Ailon{}).Aggregate(d); err != nil {
+				if _, err := aggregate(&Ailon{}, d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -151,7 +149,7 @@ func BenchmarkAnneal(b *testing.B) {
 	d := benchDataset(7, 7, 40)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (&Anneal{}).Aggregate(d); err != nil {
+		if _, err := aggregate(&Anneal{}, d); err != nil {
 			b.Fatal(err)
 		}
 	}

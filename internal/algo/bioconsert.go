@@ -3,7 +3,6 @@ package algo
 import (
 	"context"
 	"math"
-	"runtime"
 	"slices"
 
 	"rankagg/internal/core"
@@ -26,76 +25,51 @@ import (
 // ties between equally-scored local optima are broken by seed index, so the
 // result is identical to a sequential run. Memory is O(n²) (the pair
 // matrix), the scaling limit Section 7.4 notes for n > 30000.
-type BioConsert struct {
-	// StartFrom, when non-nil, replaces the input rankings as the unique
-	// starting solution (used for algorithm chaining and ablations).
-	StartFrom *rankings.Ranking
-	// Workers bounds the restart worker pool: 0 uses runtime.NumCPU(), 1
-	// forces the sequential path (used by determinism tests and benchmarks).
-	Workers int
-}
+type BioConsert struct{}
 
 // Name implements core.Aggregator.
 func (a *BioConsert) Name() string { return "BioConsert" }
 
-// Aggregate implements core.Aggregator.
-func (a *BioConsert) Aggregate(d *rankings.Dataset) (*rankings.Ranking, error) {
-	return a.AggregateWithPairs(d, nil)
-}
-
-// AggregateWithPairs implements core.PairsAggregator: a nil p is computed
-// from d, a non-nil p must be the pair matrix of d.
-func (a *BioConsert) AggregateWithPairs(d *rankings.Dataset, p *kendall.Pairs) (*rankings.Ranking, error) {
-	res, err := a.AggregateCtx(context.Background(), d, core.RunOptions{Pairs: p})
-	if err != nil {
-		return nil, err
-	}
-	return res.Consensus, nil
-}
-
-// AggregateCtx implements core.CtxAggregator: every restart's descent polls
+// AggregateCtx implements core.Aggregator: every restart's descent polls
 // the context at a bounded interval and the pool stops claiming seeds once
 // it fires, so cancellation and deadlines propagate mid-descent. On a
 // deadline the best state reached so far is returned (DeadlineHit); a
 // cancelled context returns the error. With an undisturbed context the run
-// is byte-identical to the historical sequential scan regardless of the
-// worker count. opts.Workers (the session budget) takes precedence over the
-// struct's Workers field.
+// is byte-identical to the historical sequential scan whatever the worker
+// budget (opts.WorkerBudget()).
 func (a *BioConsert) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts core.RunOptions) (*core.RunResult, error) {
-	if err := core.CheckInput(d); err != nil {
-		return nil, err
-	}
-	p := opts.Pairs
-	if p == nil {
-		p = kendall.NewPairs(d)
-	}
-	ctx, cancel := limitCtx(ctx, opts.TimeLimit)
-	defer cancel()
-	if ctx.Err() == context.Canceled {
-		return nil, ctx.Err()
-	}
-	seeds := d.Rankings
-	warm := false
-	if a.StartFrom != nil {
-		seeds = []*rankings.Ranking{a.StartFrom}
-	} else if w := opts.WarmStart; core.IsFullRanking(w, d.N) {
+	if w := opts.WarmStart; core.IsFullRanking(w, d.N) {
 		// A warm start replaces the whole restart pool: a prior consensus
 		// is already (near) locally optimal, so one descent from it does
 		// the work the m input-seeded descents would repeat. A warm ranking
 		// that is not a valid bucket order of the universe is ignored
 		// (cold policy).
-		seeds = []*rankings.Ranking{w}
-		warm = true
+		res, err := a.Refine(ctx, d, w, opts)
+		if err == nil {
+			res.Stats.WarmStart = true
+		}
+		return res, err
 	}
+	return restartPool(ctx, d, d.Rankings, opts)
+}
+
+// AcceptsWarmStart implements core.WarmStartable: AggregateCtx replaces its
+// restart pool with a single descent from RunOptions.WarmStart.
+func (a *BioConsert) AcceptsWarmStart() {}
+
+// Refine implements Seedable: one descent from the given seed, so that
+// BioConsert can itself be used as a chain stage.
+func (a *BioConsert) Refine(ctx context.Context, d *rankings.Dataset, seed *rankings.Ranking, opts core.RunOptions) (*core.RunResult, error) {
+	return restartPool(ctx, d, []*rankings.Ranking{seed}, opts)
+}
+
+// restartPool runs one descent from every distinct seed on a pool of
+// opts.WorkerBudget() workers and keeps the best local optimum.
+func restartPool(ctx context.Context, d *rankings.Dataset, seeds []*rankings.Ranking, opts core.RunOptions) (*core.RunResult, error) {
+	p := pairsFor(d, opts)
 	// Restarting twice from the same bucket order finds the same optimum.
 	uniq := distinctSeeds(seeds, d.N)
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = a.Workers
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
+	workers := opts.WorkerBudget()
 	// Each worker owns one search state, reset for every seed it claims,
 	// and keeps only its running best: a (score, seed index) pair plus a
 	// flat copy of that bucket order. A worker claims seeds in increasing
@@ -144,7 +118,7 @@ func (a *BioConsert) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts
 	return &core.RunResult{
 		Consensus:   consensus,
 		DeadlineHit: deadlineHit,
-		Stats:       core.SearchStats{Restarts: restarts, Moves: totalMoves, WarmStart: warm},
+		Stats:       core.SearchStats{Restarts: restarts, Moves: totalMoves},
 	}, nil
 }
 
@@ -242,10 +216,6 @@ func sameBucketOrder(a, b *rankings.Ranking, pos []int32) bool {
 	}
 	return same
 }
-
-// AcceptsWarmStart implements core.WarmStartable: AggregateCtx consumes
-// RunOptions.WarmStart as the restart pool's one seed.
-func (a *BioConsert) AcceptsWarmStart() {}
 
 // localSearchCtx runs BioConsert's descent from the given seed and returns
 // the best state reached, its score, and the number of applied moves. The

@@ -13,89 +13,31 @@ import (
 // BnB implements the permutation-only branch & bound of Ali & Meilă [3]
 // (Section 3.2): a DFS over prefixes of the output permutation where a leaf
 // at depth j fixes the first j elements, pruned with the pairwise lower
-// bound min(cost(a<b), cost(b<a)) over undecided pairs. With Beam > 0 the
-// search degrades into a beam search keeping the Beam most promising
-// prefixes per depth — the heuristic variant [3] recommends as a
-// KwikSort/ChanasBoth trade-off. Output never contains ties (the paper
-// notes handling ties "would require designing a fully new algorithm" —
-// that new algorithm is ExactBnB).
+// bound min(cost(a<b), cost(b<a)) over undecided pairs. Output never
+// contains ties (the paper notes handling ties "would require designing a
+// fully new algorithm" — that new algorithm is ExactBnB), so a completed
+// search proves optimality only when every input is a permutation: then,
+// by the theorem of [9], some optimum is a permutation too.
 type BnB struct {
-	// Beam > 0 switches to beam search with that width (heuristic).
-	Beam int
-	// TimeLimit stops the exact search, returning the incumbent. It is a
-	// compatibility shim over the context deadline: AggregateCtx merges it
-	// into the ctx, and the plain Aggregate entry points run under
-	// context.Background() plus this limit.
+	// TimeLimit is the default limit, applied when the run sets none: the
+	// search then stops and returns the incumbent.
 	TimeLimit time.Duration
 }
 
 // Name implements core.Aggregator.
-func (a *BnB) Name() string {
-	if a.Beam > 0 {
-		return "BnBBeam"
-	}
-	return "BnB"
-}
+func (a *BnB) Name() string { return "BnB" }
 
-// Aggregate implements core.Aggregator.
-func (a *BnB) Aggregate(d *rankings.Dataset) (*rankings.Ranking, error) {
-	r, _, err := a.AggregateExact(d)
-	return r, err
-}
+// Exact implements core.ExactAggregator.
+func (a *BnB) Exact() {}
 
-// AggregateWithPairs implements core.PairsAggregator.
-func (a *BnB) AggregateWithPairs(d *rankings.Dataset, p *kendall.Pairs) (*rankings.Ranking, error) {
-	r, _, err := a.AggregateExactWithPairs(d, p)
-	return r, err
-}
-
-// AggregateExact implements core.ExactAggregator: exact only when Beam = 0
-// and the time limit was not hit, and then only over permutations (the
-// optimum *with ties* can be strictly better).
-func (a *BnB) AggregateExact(d *rankings.Dataset) (*rankings.Ranking, bool, error) {
-	return a.AggregateExactWithPairs(d, nil)
-}
-
-// AggregateExactWithPairs implements core.ExactPairsAggregator: a nil p is
-// computed from d, a non-nil p must be the pair matrix of d.
-func (a *BnB) AggregateExactWithPairs(d *rankings.Dataset, p *kendall.Pairs) (*rankings.Ranking, bool, error) {
-	res, err := a.AggregateCtx(context.Background(), d, core.RunOptions{Pairs: p})
-	if err != nil {
-		return nil, false, err
-	}
-	return res.Consensus, res.Proved, nil
-}
-
-// AggregateCtx implements core.CtxAggregator: the DFS polls the context at
-// a bounded node interval, so cancellation and deadlines propagate
+// AggregateCtx implements core.Aggregator: the DFS polls the context at a
+// bounded node interval, so cancellation and deadlines propagate
 // mid-descent. A deadline expiry returns the incumbent with DeadlineHit.
 func (a *BnB) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts core.RunOptions) (*core.RunResult, error) {
-	if err := core.CheckInput(d); err != nil {
-		return nil, err
-	}
-	p := opts.Pairs
-	if p == nil {
-		p = kendall.NewPairs(d)
-	}
-	limit := opts.TimeLimit
-	if limit <= 0 {
-		limit = a.TimeLimit
-	}
-	ctx, cancel := limitCtx(ctx, limit)
+	p := pairsFor(d, opts)
+	ctx, cancel := defaultLimit(ctx, opts, a.TimeLimit)
 	defer cancel()
-	if ctx.Err() == context.Canceled {
-		return nil, ctx.Err()
-	}
 	order := bordaOrderAll(d)
-	if a.Beam > 0 {
-		poll := newSearchPoll(ctx)
-		r := beamSearch(p, order, a.Beam, poll)
-		deadlineHit, err := poll.outcome()
-		if err != nil {
-			return nil, err
-		}
-		return &core.RunResult{Consensus: r, DeadlineHit: deadlineHit}, nil
-	}
 	// Incumbent: Chanas-style descent from Borda order.
 	inc := append([]int(nil), order...)
 	upper := chanasOptimize(p, inc)
@@ -120,12 +62,40 @@ func (a *BnB) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts core.R
 	if err != nil {
 		return nil, err
 	}
+	proved := !deadlineHit
+	for _, r := range d.Rankings {
+		proved = proved && r.IsPermutation()
+	}
 	return &core.RunResult{
 		Consensus:   rankings.FromPermutation(s.best),
-		Proved:      !deadlineHit,
+		Proved:      proved,
 		DeadlineHit: deadlineHit,
 		Stats:       core.SearchStats{Nodes: s.nodes},
 	}, nil
+}
+
+// BnBBeam is the beam-search degradation of BnB that [3] recommends as a
+// KwikSort/ChanasBoth trade-off: it keeps the Width most promising
+// prefixes per depth. It is a heuristic and never proves optimality.
+type BnBBeam struct {
+	// Width is the number of prefixes kept per depth.
+	Width int
+}
+
+// Name implements core.Aggregator.
+func (a *BnBBeam) Name() string { return "BnBBeam" }
+
+// AggregateCtx implements core.Aggregator: the beam checks the context
+// once per depth; on a deadline the best prefix is completed in Borda
+// order and returned with DeadlineHit.
+func (a *BnBBeam) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts core.RunOptions) (*core.RunResult, error) {
+	poll := newSearchPoll(ctx)
+	r := beamSearch(pairsFor(d, opts), bordaOrderAll(d), a.Width, poll)
+	deadlineHit, err := poll.outcome()
+	if err != nil {
+		return nil, err
+	}
+	return &core.RunResult{Consensus: r, DeadlineHit: deadlineHit}, nil
 }
 
 type permSearch struct {
@@ -240,5 +210,5 @@ func bordaOrderAll(d *rankings.Dataset) []int {
 
 func init() {
 	core.Register("BnB", func() core.Aggregator { return &BnB{TimeLimit: 5 * time.Minute} })
-	core.Register("BnBBeam", func() core.Aggregator { return &BnB{Beam: 32} })
+	core.Register("BnBBeam", func() core.Aggregator { return &BnBBeam{Width: 32} })
 }

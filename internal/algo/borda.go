@@ -6,6 +6,7 @@
 package algo
 
 import (
+	"context"
 	"sort"
 
 	"rankagg/internal/core"
@@ -29,11 +30,9 @@ type Borda struct {
 // Name implements core.Aggregator.
 func (b *Borda) Name() string { return "BordaCount" }
 
-// Aggregate implements core.Aggregator.
-func (b *Borda) Aggregate(d *rankings.Dataset) (*rankings.Ranking, error) {
-	if err := core.CheckInput(d); err != nil {
-		return nil, err
-	}
+// AggregateCtx implements core.Aggregator; the single O(m·n) pass does
+// not poll the context.
+func (b *Borda) AggregateCtx(_ context.Context, d *rankings.Dataset, _ core.RunOptions) (*core.RunResult, error) {
 	scores := make([]int64, d.N)
 	for _, r := range d.Rankings {
 		before := 0
@@ -44,7 +43,7 @@ func (b *Borda) Aggregate(d *rankings.Dataset) (*rankings.Ranking, error) {
 			before += len(bucket)
 		}
 	}
-	return rankByScore(scores, true, b.TieEqualScores), nil
+	return &core.RunResult{Consensus: rankByScore(scores, true, b.TieEqualScores)}, nil
 }
 
 // rankByScore sorts elements 0..n-1 by score (ascending if asc) and builds a

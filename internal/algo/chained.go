@@ -5,31 +5,18 @@ import (
 	"fmt"
 
 	"rankagg/internal/core"
-	"rankagg/internal/kendall"
 	"rankagg/internal/rankings"
 )
 
 // Seedable is implemented by refinement algorithms that can start from a
-// given solution (BioConsert's local search, Anneal).
+// given solution (BioConsert's local search, Anneal): the second stage of
+// a Chained aggregator.
 type Seedable interface {
 	core.Aggregator
-	// AggregateFrom refines the seed into a (hopefully better) consensus.
-	AggregateFrom(d *rankings.Dataset, seed *rankings.Ranking) (*rankings.Ranking, error)
-}
-
-// PairsSeedable is a Seedable refiner that can reuse a prebuilt pair matrix
-// (same contract as core.PairsAggregator).
-type PairsSeedable interface {
-	Seedable
-	// AggregateFromWithPairs is AggregateFrom with a prebuilt pair matrix.
-	AggregateFromWithPairs(d *rankings.Dataset, seed *rankings.Ranking, p *kendall.Pairs) (*rankings.Ranking, error)
-}
-
-// CtxSeedable is a Seedable refiner that runs under a context (same
-// contract as core.CtxAggregator, starting from a given solution).
-type CtxSeedable interface {
-	Seedable
-	AggregateFromCtx(ctx context.Context, d *rankings.Dataset, seed *rankings.Ranking, opts core.RunOptions) (*core.RunResult, error)
+	// Refine runs the search from seed instead of the algorithm's own
+	// start, under AggregateCtx's contract (the caller is inside core.Run).
+	// It ignores opts.WarmStart.
+	Refine(ctx context.Context, d *rankings.Dataset, seed *rankings.Ranking, opts core.RunOptions) (*core.RunResult, error)
 }
 
 // Chained runs a fast first-stage algorithm and refines its output with a
@@ -63,95 +50,24 @@ func (c *Chained) stages() (core.Aggregator, Seedable) {
 	return first, refiner
 }
 
-// Aggregate implements core.Aggregator.
-func (c *Chained) Aggregate(d *rankings.Dataset) (*rankings.Ranking, error) {
-	return c.AggregateWithPairs(d, nil)
-}
-
-// AggregateCtx implements core.CtxAggregator: the context (and the shared
-// pair matrix) reaches both stages when they support it, so a cancel or
+// AggregateCtx implements core.Aggregator: both stages run inside this
+// run's core.Run prologue, the pair matrix is built at most once for the
+// whole chain, and it and the context reach both stages, so a cancel or
 // deadline propagates into whichever stage is running.
 func (c *Chained) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts core.RunOptions) (*core.RunResult, error) {
 	first, refiner := c.stages()
-	ctx, cancel := limitCtx(ctx, opts.TimeLimit)
-	defer cancel()
-	opts.TimeLimit = 0 // already folded into ctx; stages must not re-apply it
-	if opts.Pairs == nil {
-		if err := core.CheckInput(d); err != nil {
-			return nil, err
-		}
-		opts.Pairs = kendall.NewPairs(d)
-	}
-	fres, err := core.Run(ctx, first, d, opts)
+	opts.Pairs = pairsFor(d, opts)
+	fres, err := first.AggregateCtx(ctx, d, opts)
 	if err != nil {
 		return nil, err
 	}
-	out := &core.RunResult{DeadlineHit: fres.DeadlineHit, Stats: fres.Stats}
-	if cs, ok := refiner.(CtxSeedable); ok {
-		rres, err := cs.AggregateFromCtx(ctx, d, fres.Consensus, opts)
-		if err != nil {
-			return nil, err
-		}
-		out.Consensus = rres.Consensus
-		out.DeadlineHit = out.DeadlineHit || rres.DeadlineHit
-		out.Stats.Add(rres.Stats)
-		return out, nil
-	}
-	var r *rankings.Ranking
-	if ps, ok := refiner.(PairsSeedable); ok {
-		r, err = ps.AggregateFromWithPairs(d, fres.Consensus, opts.Pairs)
-	} else {
-		r, err = refiner.AggregateFrom(d, fres.Consensus)
-	}
+	res, err := refiner.Refine(ctx, d, fres.Consensus, opts)
 	if err != nil {
 		return nil, err
 	}
-	out.Consensus = r
-	return out, nil
-}
-
-// AggregateWithPairs implements core.PairsAggregator: the pair matrix is
-// built at most once for the whole chain and handed to every stage that can
-// consume it — chained algorithms no longer pay the O(m·n²) build twice.
-func (c *Chained) AggregateWithPairs(d *rankings.Dataset, p *kendall.Pairs) (*rankings.Ranking, error) {
-	first, refiner := c.stages()
-	if p == nil {
-		_, firstWants := first.(core.PairsAggregator)
-		_, refinerWants := refiner.(PairsSeedable)
-		if firstWants || refinerWants {
-			if err := core.CheckInput(d); err != nil {
-				return nil, err
-			}
-			p = kendall.NewPairs(d)
-		}
-	}
-	seed, err := core.AggregateWithPairs(first, d, p)
-	if err != nil {
-		return nil, err
-	}
-	if ps, ok := refiner.(PairsSeedable); ok && p != nil {
-		return ps.AggregateFromWithPairs(d, seed, p)
-	}
-	return refiner.AggregateFrom(d, seed)
-}
-
-// AggregateFrom implements Seedable so that BioConsert can itself be used
-// as a chain stage: the local search restarts from the given seed.
-func (a *BioConsert) AggregateFrom(d *rankings.Dataset, seed *rankings.Ranking) (*rankings.Ranking, error) {
-	return a.AggregateFromWithPairs(d, seed, nil)
-}
-
-// AggregateFromWithPairs implements PairsSeedable.
-func (a *BioConsert) AggregateFromWithPairs(d *rankings.Dataset, seed *rankings.Ranking, p *kendall.Pairs) (*rankings.Ranking, error) {
-	b := &BioConsert{StartFrom: seed, Workers: a.Workers}
-	return b.AggregateWithPairs(d, p)
-}
-
-// AggregateFromCtx implements CtxSeedable: the restart descent runs from
-// the given seed under the context.
-func (a *BioConsert) AggregateFromCtx(ctx context.Context, d *rankings.Dataset, seed *rankings.Ranking, opts core.RunOptions) (*core.RunResult, error) {
-	b := &BioConsert{StartFrom: seed, Workers: a.Workers}
-	return b.AggregateCtx(ctx, d, opts)
+	res.DeadlineHit = res.DeadlineHit || fres.DeadlineHit
+	res.Stats.Add(fres.Stats)
+	return res, nil
 }
 
 func init() {

@@ -1,6 +1,8 @@
 package algo
 
 import (
+	"context"
+
 	"rankagg/internal/core"
 	"rankagg/internal/kendall"
 	"rankagg/internal/rankings"
@@ -29,20 +31,10 @@ func (a *Chanas) Name() string {
 	return "Chanas"
 }
 
-// Aggregate implements core.Aggregator.
-func (a *Chanas) Aggregate(d *rankings.Dataset) (*rankings.Ranking, error) {
-	return a.AggregateWithPairs(d, nil)
-}
-
-// AggregateWithPairs implements core.PairsAggregator: a nil p is computed
-// from d, a non-nil p must be the pair matrix of d.
-func (a *Chanas) AggregateWithPairs(d *rankings.Dataset, p *kendall.Pairs) (*rankings.Ranking, error) {
-	if err := core.CheckInput(d); err != nil {
-		return nil, err
-	}
-	if p == nil {
-		p = kendall.NewPairs(d)
-	}
+// AggregateCtx implements core.Aggregator; the descents do not poll the
+// context.
+func (a *Chanas) AggregateCtx(_ context.Context, d *rankings.Dataset, opts core.RunOptions) (*core.RunResult, error) {
+	p := pairsFor(d, opts)
 	var seeds [][]int
 	for _, r := range d.Rankings {
 		seeds = append(seeds, r.Clone().Canonicalize().Elements())
@@ -63,7 +55,7 @@ func (a *Chanas) AggregateWithPairs(d *rankings.Dataset, p *kendall.Pairs) (*ran
 			best, bestScore = perm, score
 		}
 	}
-	return rankings.FromPermutation(best), nil
+	return &core.RunResult{Consensus: rankings.FromPermutation(best)}, nil
 }
 
 // chanasOptimize runs the sort-and-reverse loop, leaving the best

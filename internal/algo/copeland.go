@@ -1,6 +1,8 @@
 package algo
 
 import (
+	"context"
+
 	"rankagg/internal/core"
 	"rankagg/internal/rankings"
 )
@@ -19,11 +21,9 @@ type Copeland struct {
 // Name implements core.Aggregator.
 func (c *Copeland) Name() string { return "CopelandMethod" }
 
-// Aggregate implements core.Aggregator.
-func (c *Copeland) Aggregate(d *rankings.Dataset) (*rankings.Ranking, error) {
-	if err := core.CheckInput(d); err != nil {
-		return nil, err
-	}
+// AggregateCtx implements core.Aggregator; the single O(m·n) pass does
+// not poll the context.
+func (c *Copeland) AggregateCtx(_ context.Context, d *rankings.Dataset, _ core.RunOptions) (*core.RunResult, error) {
 	scores := make([]int64, d.N)
 	for _, r := range d.Rankings {
 		after := r.Len()
@@ -34,7 +34,7 @@ func (c *Copeland) Aggregate(d *rankings.Dataset) (*rankings.Ranking, error) {
 			}
 		}
 	}
-	return rankByScore(scores, false, c.TieEqualScores), nil
+	return &core.RunResult{Consensus: rankByScore(scores, false, c.TieEqualScores)}, nil
 }
 
 func init() {

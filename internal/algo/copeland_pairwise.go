@@ -1,8 +1,9 @@
 package algo
 
 import (
+	"context"
+
 	"rankagg/internal/core"
-	"rankagg/internal/kendall"
 	"rankagg/internal/rankings"
 )
 
@@ -22,20 +23,10 @@ type CopelandPairwise struct {
 // Name implements core.Aggregator.
 func (c *CopelandPairwise) Name() string { return "CopelandPairwise" }
 
-// Aggregate implements core.Aggregator.
-func (c *CopelandPairwise) Aggregate(d *rankings.Dataset) (*rankings.Ranking, error) {
-	return c.AggregateWithPairs(d, nil)
-}
-
-// AggregateWithPairs implements core.PairsAggregator: a nil p is computed
-// from d, a non-nil p must be the pair matrix of d.
-func (c *CopelandPairwise) AggregateWithPairs(d *rankings.Dataset, p *kendall.Pairs) (*rankings.Ranking, error) {
-	if err := core.CheckInput(d); err != nil {
-		return nil, err
-	}
-	if p == nil {
-		p = kendall.NewPairs(d)
-	}
+// AggregateCtx implements core.Aggregator; the O(n²) pass over the pair
+// matrix does not poll the context.
+func (c *CopelandPairwise) AggregateCtx(_ context.Context, d *rankings.Dataset, opts core.RunOptions) (*core.RunResult, error) {
+	p := pairsFor(d, opts)
 	scores := make([]int64, d.N)
 	for a := 0; a < d.N; a++ {
 		for b := 0; b < d.N; b++ {
@@ -51,7 +42,7 @@ func (c *CopelandPairwise) AggregateWithPairs(d *rankings.Dataset, p *kendall.Pa
 			}
 		}
 	}
-	return rankByScore(scores, false, c.TieEqualScores), nil
+	return &core.RunResult{Consensus: rankByScore(scores, false, c.TieEqualScores)}, nil
 }
 
 func init() {

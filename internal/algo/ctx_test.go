@@ -24,50 +24,50 @@ func TestCtxCancelMidSearch(t *testing.T) {
 		run  func(ctx context.Context, d *dsWithPairs) error
 	}{
 		{"BnB", 7, 40, func(ctx context.Context, d *dsWithPairs) error {
-			_, err := (&BnB{}).AggregateCtx(ctx, d.d, core.RunOptions{Pairs: d.p})
+			_, err := core.Run(ctx, &BnB{}, d.d, core.RunOptions{Pairs: d.p})
 			return err
 		}},
 		{"ExactBnB", 7, 40, func(ctx context.Context, d *dsWithPairs) error {
-			_, err := (&ExactBnB{Preprocess: true}).AggregateCtx(ctx, d.d, core.RunOptions{Pairs: d.p})
+			_, err := core.Run(ctx, &ExactBnB{Preprocess: true}, d.d, core.RunOptions{Pairs: d.p})
 			return err
 		}},
 		{"ExactLPB", 7, 34, func(ctx context.Context, d *dsWithPairs) error {
 			// Above the default cap so the LPB model is large enough (~3s
 			// uncancelled) that the branch & bound is still mid-search when
 			// the cancel fires; the poll is per node and per cut round.
-			_, err := (&ExactLPB{MaxElements: 40}).AggregateCtx(ctx, d.d, core.RunOptions{Pairs: d.p})
+			_, err := core.Run(ctx, &ExactLPB{MaxElements: 40}, d.d, core.RunOptions{Pairs: d.p})
 			return err
 		}},
 		{"BioConsert", 25, 400, func(ctx context.Context, d *dsWithPairs) error {
-			_, err := (&BioConsert{}).AggregateCtx(ctx, d.d, core.RunOptions{Pairs: d.p})
+			_, err := core.Run(ctx, &BioConsert{}, d.d, core.RunOptions{Pairs: d.p})
 			return err
 		}},
 		{"Anneal", 10, 400, func(ctx context.Context, d *dsWithPairs) error {
-			_, err := (&Anneal{}).AggregateCtx(ctx, d.d, core.RunOptions{Pairs: d.p})
+			_, err := core.Run(ctx, &Anneal{}, d.d, core.RunOptions{Pairs: d.p})
 			return err
 		}},
 		{"MC4", 7, 500, func(ctx context.Context, d *dsWithPairs) error {
-			_, err := (&MarkovChain{}).AggregateCtx(ctx, d.d, core.RunOptions{})
+			_, err := core.Run(ctx, &MarkovChain{}, d.d, core.RunOptions{})
 			return err
 		}},
 		{"KwikSortMin", 7, 200, func(ctx context.Context, d *dsWithPairs) error {
 			// Enough independent runs (each one poll interval) to outlast
 			// the cancel by orders of magnitude if the pool ignored ctx.
-			_, err := (&KwikSort{Runs: 200000}).AggregateCtx(ctx, d.d, core.RunOptions{Pairs: d.p})
+			_, err := core.Run(ctx, &KwikSort{Runs: 200000}, d.d, core.RunOptions{Pairs: d.p})
 			return err
 		}},
 		{"RepeatChoiceMin", 20, 200, func(ctx context.Context, d *dsWithPairs) error {
-			_, err := (&RepeatChoice{Runs: 200000}).AggregateCtx(ctx, d.d, core.RunOptions{Pairs: d.p})
+			_, err := core.Run(ctx, &RepeatChoice{Runs: 200000}, d.d, core.RunOptions{Pairs: d.p})
 			return err
 		}},
 		{"Ailon3/2", 5, 8, func(ctx context.Context, d *dsWithPairs) error {
 			// A small relaxation solves well before the cancel; the
 			// roundings after it must poll, one per rounding.
-			_, err := (&Ailon{}).AggregateCtx(ctx, d.d, core.RunOptions{Pairs: d.p, Restarts: math.MaxInt32})
+			_, err := core.Run(ctx, &Ailon{}, d.d, core.RunOptions{Pairs: d.p, Restarts: math.MaxInt32})
 			return err
 		}},
 		{"BnBBeam", 7, 300, func(ctx context.Context, d *dsWithPairs) error {
-			_, err := (&BnB{Beam: 32}).AggregateCtx(ctx, d.d, core.RunOptions{Pairs: d.p})
+			_, err := core.Run(ctx, &BnBBeam{Width: 32}, d.d, core.RunOptions{Pairs: d.p})
 			return err
 		}},
 	}
@@ -119,10 +119,10 @@ func TestCtxDeadlineKeepsIncumbent(t *testing.T) {
 		run  func(ctx context.Context) (*core.RunResult, error)
 	}{
 		{"BnB", func(ctx context.Context) (*core.RunResult, error) {
-			return (&BnB{}).AggregateCtx(ctx, d, core.RunOptions{Pairs: p, TimeLimit: time.Nanosecond})
+			return core.Run(ctx, &BnB{}, d, core.RunOptions{Pairs: p, TimeLimit: time.Nanosecond})
 		}},
 		{"ExactBnB", func(ctx context.Context) (*core.RunResult, error) {
-			return (&ExactBnB{Preprocess: true}).AggregateCtx(ctx, d, core.RunOptions{Pairs: p, TimeLimit: time.Nanosecond})
+			return core.Run(ctx, &ExactBnB{Preprocess: true}, d, core.RunOptions{Pairs: p, TimeLimit: time.Nanosecond})
 		}},
 	}
 	for _, tc := range runs {
@@ -152,12 +152,12 @@ func TestAilonDeadlineReporting(t *testing.T) {
 	// Already-expired deadline: no relaxation can complete.
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err := (&Ailon{}).AggregateCtx(ctx, d, core.RunOptions{Pairs: p})
+	_, err := core.Run(ctx, &Ailon{}, d, core.RunOptions{Pairs: p})
 	if _, ok := err.(*TimeLimitError); !ok {
 		t.Fatalf("expired-before-solve must yield *TimeLimitError, got %v", err)
 	}
 	// Generous deadline: normal run, no deadline report.
-	res, err := (&Ailon{}).AggregateCtx(context.Background(), d, core.RunOptions{Pairs: p, TimeLimit: time.Minute})
+	res, err := core.Run(context.Background(), &Ailon{}, d, core.RunOptions{Pairs: p, TimeLimit: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}

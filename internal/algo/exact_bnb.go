@@ -2,7 +2,6 @@ package algo
 
 import (
 	"context"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -31,9 +30,9 @@ import (
 // instance is first split by the unanimity decomposition (the data
 // reduction idea of [5, 6]).
 type ExactBnB struct {
-	// TimeLimit stops the search and returns the incumbent (reported as
-	// non-exact). Zero means no limit — exponential worst case. It is a
-	// compatibility shim over the context deadline (see AggregateCtx).
+	// TimeLimit is the default limit, applied when the run sets none: the
+	// search then stops and returns the incumbent (reported as non-exact).
+	// Zero means no limit — exponential worst case.
 	TimeLimit time.Duration
 	// MaxElements refuses instances larger than this (0 = no cap). The
 	// paper computes optima "for moderately large datasets only".
@@ -47,58 +46,21 @@ type ExactBnB struct {
 // Name implements core.Aggregator.
 func (a *ExactBnB) Name() string { return "ExactAlgorithm" }
 
-// Aggregate implements core.Aggregator.
-func (a *ExactBnB) Aggregate(d *rankings.Dataset) (*rankings.Ranking, error) {
-	r, _, err := a.AggregateExact(d)
-	return r, err
-}
+// Exact implements core.ExactAggregator.
+func (a *ExactBnB) Exact() {}
 
-// AggregateWithPairs implements core.PairsAggregator.
-func (a *ExactBnB) AggregateWithPairs(d *rankings.Dataset, p *kendall.Pairs) (*rankings.Ranking, error) {
-	r, _, err := a.AggregateExactWithPairs(d, p)
-	return r, err
-}
-
-// AggregateExact implements core.ExactAggregator.
-func (a *ExactBnB) AggregateExact(d *rankings.Dataset) (*rankings.Ranking, bool, error) {
-	return a.AggregateExactWithPairs(d, nil)
-}
-
-// AggregateExactWithPairs implements core.ExactPairsAggregator: a nil p is
-// computed from d, a non-nil p must be the pair matrix of d.
-func (a *ExactBnB) AggregateExactWithPairs(d *rankings.Dataset, p *kendall.Pairs) (*rankings.Ranking, bool, error) {
-	res, err := a.AggregateCtx(context.Background(), d, core.RunOptions{Pairs: p})
-	if err != nil {
-		return nil, false, err
-	}
-	return res.Consensus, res.Proved, nil
-}
-
-// AggregateCtx implements core.CtxAggregator: the ties-aware DFS (and the
+// AggregateCtx implements core.Aggregator: the ties-aware DFS (and the
 // BioConsert descent priming each group's incumbent) polls the context at a
 // bounded interval, so cancellation and deadlines propagate mid-descent.
 // On deadline expiry the incumbent of every group is kept (DeadlineHit,
 // Proved=false); a cancelled context returns the error instead.
 func (a *ExactBnB) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts core.RunOptions) (*core.RunResult, error) {
-	if err := core.CheckInput(d); err != nil {
-		return nil, err
-	}
 	if a.MaxElements > 0 && d.N > a.MaxElements {
 		return nil, &TooLargeError{N: d.N, Max: a.MaxElements}
 	}
-	p := opts.Pairs
-	if p == nil {
-		p = kendall.NewPairs(d)
-	}
-	limit := opts.TimeLimit
-	if limit <= 0 {
-		limit = a.TimeLimit
-	}
-	ctx, cancel := limitCtx(ctx, limit)
+	p := pairsFor(d, opts)
+	ctx, cancel := defaultLimit(ctx, opts, a.TimeLimit)
 	defer cancel()
-	if ctx.Err() == context.Canceled {
-		return nil, ctx.Err()
-	}
 	elems := make([]int, d.N)
 	for i := range elems {
 		elems[i] = i
@@ -110,11 +72,7 @@ func (a *ExactBnB) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts c
 	// One poll serves the whole run: once it trips, the remaining groups
 	// return their incumbents immediately and the result is non-exact.
 	poll := newSearchPoll(ctx)
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	primes, restarts := primeGroups(ctx, d, p, groups, workers)
+	primes, restarts := primeGroups(ctx, d, p, groups, opts.WorkerBudget())
 	out := &rankings.Ranking{}
 	exact := true
 	var nodes int64

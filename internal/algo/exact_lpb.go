@@ -7,7 +7,6 @@ import (
 
 	"rankagg/internal/core"
 	"rankagg/internal/ilp"
-	"rankagg/internal/kendall"
 	"rankagg/internal/lp"
 	"rankagg/internal/rankings"
 )
@@ -32,49 +31,23 @@ type ExactLPB struct {
 	// MaxElements caps instance size (0 = default 12; the LPB model has
 	// 3·C(n,2) binaries and the paper computes optima only for moderate n).
 	MaxElements int
-	// TimeLimit bounds the branch & bound (0 = default 5 minutes).
+	// TimeLimit is the default limit on the branch & bound, applied when
+	// the run sets none (0 = 5 minutes).
 	TimeLimit time.Duration
 }
 
 // Name implements core.Aggregator.
 func (a *ExactLPB) Name() string { return "ExactLPB" }
 
-// Aggregate implements core.Aggregator.
-func (a *ExactLPB) Aggregate(d *rankings.Dataset) (*rankings.Ranking, error) {
-	r, _, err := a.AggregateExact(d)
-	return r, err
-}
+// Exact implements core.ExactAggregator.
+func (a *ExactLPB) Exact() {}
 
-// AggregateWithPairs implements core.PairsAggregator.
-func (a *ExactLPB) AggregateWithPairs(d *rankings.Dataset, p *kendall.Pairs) (*rankings.Ranking, error) {
-	r, _, err := a.AggregateExactWithPairs(d, p)
-	return r, err
-}
-
-// AggregateExact implements core.ExactAggregator.
-func (a *ExactLPB) AggregateExact(d *rankings.Dataset) (*rankings.Ranking, bool, error) {
-	return a.AggregateExactWithPairs(d, nil)
-}
-
-// AggregateExactWithPairs implements core.ExactPairsAggregator: a nil p is
-// computed from d, a non-nil p must be the pair matrix of d.
-func (a *ExactLPB) AggregateExactWithPairs(d *rankings.Dataset, p *kendall.Pairs) (*rankings.Ranking, bool, error) {
-	res, err := a.AggregateCtx(context.Background(), d, core.RunOptions{Pairs: p})
-	if err != nil {
-		return nil, false, err
-	}
-	return res.Consensus, res.Proved, nil
-}
-
-// AggregateCtx implements core.CtxAggregator: the context is threaded into
+// AggregateCtx implements core.Aggregator: the context is threaded into
 // the pure-Go LPB branch & bound (checked once per node and per cut round)
 // and into the BioConsert descent priming the incumbent. On a deadline the
 // best incumbent — the solver's, or BioConsert's when the solver found none
 // — is returned with DeadlineHit; a cancelled context returns the error.
 func (a *ExactLPB) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts core.RunOptions) (*core.RunResult, error) {
-	if err := core.CheckInput(d); err != nil {
-		return nil, err
-	}
 	maxN := a.MaxElements
 	if maxN == 0 {
 		maxN = 12
@@ -83,22 +56,13 @@ func (a *ExactLPB) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts c
 		return nil, &TooLargeError{N: d.N, Max: maxN}
 	}
 	n := d.N
-	p := opts.Pairs
-	if p == nil {
-		p = kendall.NewPairs(d)
-	}
-	limit := opts.TimeLimit
-	if limit <= 0 {
-		limit = a.TimeLimit
-	}
+	p := pairsFor(d, opts)
+	limit := a.TimeLimit
 	if limit == 0 {
 		limit = 5 * time.Minute
 	}
-	ctx, cancel := limitCtx(ctx, limit)
+	ctx, cancel := defaultLimit(ctx, opts, limit)
 	defer cancel()
-	if ctx.Err() == context.Canceled {
-		return nil, ctx.Err()
-	}
 	nPairs := n * (n - 1) / 2
 
 	// Variable layout: pair {a<b} (IDs ascending) occupies indices

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rankagg/internal/core"
 	"rankagg/internal/kendall"
 )
 
@@ -12,7 +13,7 @@ func TestAnnealNotWorseThanSeedAndLocalOpt(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		d := randomTiedDataset(rng, 5, 10)
 		p := kendall.NewPairs(d)
-		r, err := (&Anneal{Sweeps: 20, Seed: int64(trial)}).Aggregate(d)
+		r, err := aggregate(&Anneal{Sweeps: 20}, d, core.RunOptions{Seed: int64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +35,7 @@ func TestAnnealFindsOptimumOnSmall(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		d := randomTiedDataset(rng, 4, 5)
 		_, want := bruteForceOptimum(d)
-		r, err := (&Anneal{Seed: int64(trial)}).Aggregate(d)
+		r, err := aggregate(&Anneal{}, d, core.RunOptions{Seed: int64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,11 +53,11 @@ func TestChainedBeatsFirstStage(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		d := randomTiedDataset(rng, 5, 12)
 		p := kendall.NewPairs(d)
-		first, err := (&Borda{}).Aggregate(d)
+		first, err := aggregate(&Borda{}, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		chained, err := (&Chained{}).Aggregate(d)
+		chained, err := aggregate(&Chained{}, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +80,7 @@ func TestChainedName(t *testing.T) {
 
 func TestFootruleMedianOrdersByMedian(t *testing.T) {
 	d, u := mustDS(t, "A>B>C", "A>B>C", "C>A>B")
-	r, err := (FootruleMedian{}).Aggregate(d)
+	r, err := aggregate(FootruleMedian{}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestFootruleMedianOrdersByMedian(t *testing.T) {
 func TestFootruleMedianTiesEqualMedians(t *testing.T) {
 	// Two rankings disagreeing symmetrically: A and B have the same median.
 	d, _ := mustDS(t, "A>B", "B>A")
-	r, err := (FootruleMedian{}).Aggregate(d)
+	r, err := aggregate(FootruleMedian{}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestMCVariantsRankCondorcetWinnerFirst(t *testing.T) {
 	a, _ := u.Lookup("A")
 	for v := 1; v <= 4; v++ {
 		mc := &MarkovChain{Variant: v}
-		r, err := mc.Aggregate(d)
+		r, err := aggregate(mc, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +124,7 @@ func TestMCVariantsHandleTiedInputs(t *testing.T) {
 	d, _ := mustDS(t, "[{A,B},{C}]", "[{A,B},{C}]")
 	for v := 1; v <= 4; v++ {
 		mc := &MarkovChain{Variant: v}
-		r, err := mc.Aggregate(d)
+		r, err := aggregate(mc, d)
 		if err != nil {
 			t.Fatalf("%s: %v", mc.Name(), err)
 		}
@@ -155,7 +156,7 @@ func TestCopelandPairwiseCondorcet(t *testing.T) {
 		"C>B>A",
 		"A>B>C",
 	)
-	r, err := (&CopelandPairwise{}).Aggregate(d)
+	r, err := aggregate(&CopelandPairwise{}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestCopelandPairwiseDrawsScoreOne(t *testing.T) {
 	// Perfect cycle A>B, B>C, C>A plus reversed: all pairs drawn, so every
 	// element scores n-1 and the tie-enabled variant puts all in one bucket.
 	d, _ := mustDS(t, "A>B>C", "C>B>A")
-	r, err := (&CopelandPairwise{TieEqualScores: true}).Aggregate(d)
+	r, err := aggregate(&CopelandPairwise{TieEqualScores: true}, d)
 	if err != nil {
 		t.Fatal(err)
 	}

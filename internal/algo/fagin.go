@@ -1,10 +1,10 @@
 package algo
 
 import (
+	"context"
 	"sort"
 
 	"rankagg/internal/core"
-	"rankagg/internal/kendall"
 	"rankagg/internal/rankings"
 )
 
@@ -31,20 +31,10 @@ func (a *FaginDyn) Name() string {
 	return "FaginSmall"
 }
 
-// Aggregate implements core.Aggregator.
-func (a *FaginDyn) Aggregate(d *rankings.Dataset) (*rankings.Ranking, error) {
-	return a.AggregateWithPairs(d, nil)
-}
-
-// AggregateWithPairs implements core.PairsAggregator: a nil p is computed
-// from d, a non-nil p must be the pair matrix of d.
-func (a *FaginDyn) AggregateWithPairs(d *rankings.Dataset, p *kendall.Pairs) (*rankings.Ranking, error) {
-	if err := core.CheckInput(d); err != nil {
-		return nil, err
-	}
-	if p == nil {
-		p = kendall.NewPairs(d)
-	}
+// AggregateCtx implements core.Aggregator; the O(n²) dynamic program
+// does not poll the context.
+func (a *FaginDyn) AggregateCtx(_ context.Context, d *rankings.Dataset, opts core.RunOptions) (*core.RunResult, error) {
+	p := pairsFor(d, opts)
 	order := a.sortedElements(d)
 	n := len(order)
 
@@ -95,7 +85,7 @@ func (a *FaginDyn) AggregateWithPairs(d *rankings.Dataset, p *kendall.Pairs) (*r
 	for i := len(stack) - 1; i >= 0; i-- {
 		out.Buckets = append(out.Buckets, stack[i])
 	}
-	return out, nil
+	return &core.RunResult{Consensus: out}, nil
 }
 
 // sortedElements orders the universe by mean (default) or median position,

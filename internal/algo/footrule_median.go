@@ -1,6 +1,8 @@
 package algo
 
 import (
+	"context"
+
 	"rankagg/internal/core"
 	"rankagg/internal/kendall"
 	"rankagg/internal/rankings"
@@ -18,11 +20,9 @@ type FootruleMedian struct{}
 // Name implements core.Aggregator.
 func (FootruleMedian) Name() string { return "FootruleMedian" }
 
-// Aggregate implements core.Aggregator.
-func (FootruleMedian) Aggregate(d *rankings.Dataset) (*rankings.Ranking, error) {
-	if err := core.CheckInput(d); err != nil {
-		return nil, err
-	}
+// AggregateCtx implements core.Aggregator; the median pass does not poll
+// the context.
+func (FootruleMedian) AggregateCtx(_ context.Context, d *rankings.Dataset, _ core.RunOptions) (*core.RunResult, error) {
 	med := kendall.MedianPositions(d)
 	// Median doubled positions are half-integral ×2 = integral, so they map
 	// losslessly onto the int64 scores rankByScore expects.
@@ -30,7 +30,7 @@ func (FootruleMedian) Aggregate(d *rankings.Dataset) (*rankings.Ranking, error) 
 	for e, v := range med {
 		scores[e] = int64(v * 2)
 	}
-	return rankByScore(scores, true, true), nil
+	return &core.RunResult{Consensus: rankByScore(scores, true, true)}, nil
 }
 
 func init() {

@@ -1,10 +1,13 @@
 package algo
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"rankagg/internal/core"
 	"rankagg/internal/gen"
 	"rankagg/internal/kendall"
 	"rankagg/internal/rankings"
@@ -13,7 +16,7 @@ import (
 func TestBordaTieAdaptedPositions(t *testing.T) {
 	// r = [{A,B},{C}]: pos(A)=pos(B)=1, pos(C)=3 (two elements before it).
 	d, u := mustDS(t, "[{A,B},{C}]")
-	r, err := (&Borda{}).Aggregate(d)
+	r, err := aggregate(&Borda{}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +30,7 @@ func TestBordaTieAdaptedPositions(t *testing.T) {
 	if !r.IsPermutation() {
 		t.Error("default Borda must output a permutation")
 	}
-	rt, err := (&Borda{TieEqualScores: true}).Aggregate(d)
+	rt, err := aggregate(&Borda{TieEqualScores: true}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +48,11 @@ func TestBordaCopelandAgreeOnPermutations(t *testing.T) {
 			rks[i] = gen.UniformPermutation(rng, n)
 		}
 		d := rankings.NewDataset(n, rks...)
-		rb, err := (&Borda{}).Aggregate(d)
+		rb, err := aggregate(&Borda{}, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc, err := (&Copeland{}).Aggregate(d)
+		rc, err := aggregate(&Copeland{}, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +73,7 @@ func TestBordaCopelandDifferOnUnifiedTies(t *testing.T) {
 	)
 	x, _ := u.Lookup("X")
 	y, _ := u.Lookup("Y")
-	rb, _ := (&Borda{}).Aggregate(d)
+	rb, _ := aggregate(&Borda{}, d)
 	pos := rb.Positions(d.N)
 	// Borda: pos(X) always 1; pos(Y) = 2 in the strict ranking -> X before Y.
 	if pos[x] >= pos[y] {
@@ -82,7 +85,7 @@ func TestMEDRankRounds(t *testing.T) {
 	// m=2, h=0.5 -> threshold 1: every element is emitted the first round it
 	// is seen in ANY ranking.
 	d, u := mustDS(t, "[{A},{B},{C}]", "[{A},{C},{B}]")
-	r, err := (&MEDRank{H: 0.5}).Aggregate(d)
+	r, err := aggregate(&MEDRank{H: 0.5}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +105,8 @@ func TestMEDRankThresholdSensitivity(t *testing.T) {
 	// With h=0.7 (threshold 2 of 2 rankings), B and C only qualify at their
 	// second sighting.
 	d, _ := mustDS(t, "[{A},{B},{C}]", "[{A},{C},{B}]")
-	r5, _ := (&MEDRank{H: 0.5}).Aggregate(d)
-	r7, _ := (&MEDRank{H: 0.7}).Aggregate(d)
+	r5, _ := aggregate(&MEDRank{H: 0.5}, d)
+	r7, _ := aggregate(&MEDRank{H: 0.7}, d)
 	if r5.Equal(r7) {
 		t.Log("thresholds agreed on this tiny dataset (acceptable)")
 	}
@@ -115,7 +118,7 @@ func TestMEDRankThresholdSensitivity(t *testing.T) {
 func TestMEDRankTiedBucketsReadTogether(t *testing.T) {
 	// Ties adaptation: "multiple elements can be read at the same time".
 	d, _ := mustDS(t, "[{A,B},{C}]", "[{A,B},{C}]")
-	r, _ := (&MEDRank{H: 0.5}).Aggregate(d)
+	r, _ := aggregate(&MEDRank{H: 0.5}, d)
 	if r.NumBuckets() != 2 || len(r.Buckets[0]) != 2 {
 		t.Errorf("A,B read together must tie: %v", r)
 	}
@@ -123,7 +126,7 @@ func TestMEDRankTiedBucketsReadTogether(t *testing.T) {
 
 func TestMC4DominantElementWins(t *testing.T) {
 	d, u := mustDS(t, "A>B>C>D", "A>C>B>D", "A>B>D>C")
-	r, err := (&MC4{}).Aggregate(d)
+	r, err := aggregate(&MC4{}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +143,7 @@ func TestMC4DominantElementWins(t *testing.T) {
 
 func TestPickAPermReturnsAnInput(t *testing.T) {
 	d, _ := paperTiesDataset(t)
-	r, err := (PickAPerm{}).Aggregate(d)
+	r, err := aggregate(PickAPerm{}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,14 +167,14 @@ func TestPickAPermReturnsAnInput(t *testing.T) {
 
 func TestRepeatChoiceKeepTiesVsBroken(t *testing.T) {
 	d, _ := mustDS(t, "[{A,B},{C}]", "[{A,B},{C}]")
-	tied, err := (&RepeatChoice{KeepTies: true}).Aggregate(d)
+	tied, err := aggregate(&RepeatChoice{KeepTies: true}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tied.IsPermutation() {
 		t.Errorf("KeepTies run should preserve the unanimous tie: %v", tied)
 	}
-	broken, err := (&RepeatChoice{}).Aggregate(d)
+	broken, err := aggregate(&RepeatChoice{}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +188,11 @@ func TestRepeatChoiceMinNotWorse(t *testing.T) {
 	p := func(uint8) bool {
 		d := randomTiedDataset(rng, 3+rng.Intn(4), 3+rng.Intn(6))
 		pm := kendall.NewPairs(d)
-		one, err := (&RepeatChoice{Runs: 1}).Aggregate(d)
+		one, err := aggregate(&RepeatChoice{Runs: 1}, d)
 		if err != nil {
 			return false
 		}
-		best, err := (&RepeatChoice{Runs: 16}).Aggregate(d)
+		best, err := aggregate(&RepeatChoice{Runs: 16}, d)
 		if err != nil {
 			return false
 		}
@@ -203,8 +206,8 @@ func TestRepeatChoiceMinNotWorse(t *testing.T) {
 func TestKwikSortDeterministicGivenSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	d := randomTiedDataset(rng, 5, 12)
-	a1, _ := (&KwikSort{Seed: 7}).Aggregate(d)
-	a2, _ := (&KwikSort{Seed: 7}).Aggregate(d)
+	a1, _ := aggregate(&KwikSort{}, d, core.RunOptions{Seed: 7})
+	a2, _ := aggregate(&KwikSort{}, d, core.RunOptions{Seed: 7})
 	if !a1.Equal(a2) {
 		t.Error("same seed must give the same consensus")
 	}
@@ -215,8 +218,8 @@ func TestKwikSortMinNotWorse(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		d := randomTiedDataset(rng, 4, 10)
 		p := kendall.NewPairs(d)
-		one, _ := (&KwikSort{Runs: 1}).Aggregate(d)
-		best, _ := (&KwikSort{Runs: 16}).Aggregate(d)
+		one, _ := aggregate(&KwikSort{Runs: 1}, d)
+		best, _ := aggregate(&KwikSort{Runs: 16}, d)
 		if p.Score(best) > p.Score(one) {
 			t.Fatalf("KwikSortMin (%d) worse than single run (%d)", p.Score(best), p.Score(one))
 		}
@@ -226,7 +229,7 @@ func TestKwikSortMinNotWorse(t *testing.T) {
 func TestKwikSortTiesWithPivotWhenFree(t *testing.T) {
 	// All inputs tie everything: every element must be tied with the pivot.
 	d, _ := mustDS(t, "[{A,B,C,D}]", "[{A,B,C,D}]")
-	r, _ := (&KwikSort{}).Aggregate(d)
+	r, _ := aggregate(&KwikSort{}, d)
 	if r.NumBuckets() != 1 {
 		t.Errorf("unanimous tie must survive KwikSort: %v", r)
 	}
@@ -237,7 +240,7 @@ func TestBioConsertIsLocalOptimum(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		d := randomTiedDataset(rng, 4, 8)
 		p := kendall.NewPairs(d)
-		r, err := (&BioConsert{}).Aggregate(d)
+		r, err := aggregate(&BioConsert{}, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +257,7 @@ func TestBioConsertNotWorseThanInputs(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		d := randomTiedDataset(rng, 5, 9)
 		p := kendall.NewPairs(d)
-		r, _ := (&BioConsert{}).Aggregate(d)
+		r, _ := aggregate(&BioConsert{}, d)
 		for _, in := range d.Rankings {
 			if p.Score(r) > p.Score(in) {
 				t.Fatalf("BioConsert (%d) worse than input %v (%d)", p.Score(r), in, p.Score(in))
@@ -265,7 +268,7 @@ func TestBioConsertNotWorseThanInputs(t *testing.T) {
 
 func TestBioConsertFindsPaperOptimum(t *testing.T) {
 	d, _ := paperTiesDataset(t)
-	r, _ := (&BioConsert{}).Aggregate(d)
+	r, _ := aggregate(&BioConsert{}, d)
 	if got := kendall.Score(r, d); got != 5 {
 		t.Errorf("BioConsert score = %d, want the optimum 5", got)
 	}
@@ -276,11 +279,11 @@ func TestFaginVariantsBucketPreference(t *testing.T) {
 	largerWon, smallerWon := 0, 0
 	for trial := 0; trial < 30; trial++ {
 		d := randomTiedDataset(rng, 3, 8)
-		rl, err := (&FaginDyn{PreferLarge: true}).Aggregate(d)
+		rl, err := aggregate(&FaginDyn{PreferLarge: true}, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := (&FaginDyn{}).Aggregate(d)
+		rs, err := aggregate(&FaginDyn{}, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +301,7 @@ func TestFaginVariantsBucketPreference(t *testing.T) {
 
 func TestFaginRespectsUnanimousTies(t *testing.T) {
 	d, _ := mustDS(t, "[{A,B},{C,D}]", "[{A,B},{C,D}]")
-	r, _ := (&FaginDyn{}).Aggregate(d)
+	r, _ := aggregate(&FaginDyn{}, d)
 	if got := kendall.Score(r, d); got != 0 {
 		t.Errorf("FaginDyn should reproduce the unanimous bucket order, score %d (%v)", got, r)
 	}
@@ -307,7 +310,7 @@ func TestFaginRespectsUnanimousTies(t *testing.T) {
 func TestChanasOutputsPermutation(t *testing.T) {
 	d, _ := paperTiesDataset(t)
 	for _, a := range []*Chanas{{}, {Both: true}} {
-		r, err := a.Aggregate(d)
+		r, err := aggregate(a, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +325,7 @@ func TestChanasAdjacentSwapLocalOpt(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		d := randomTiedDataset(rng, 4, 9)
 		p := kendall.NewPairs(d)
-		r, _ := (&Chanas{}).Aggregate(d)
+		r, _ := aggregate(&Chanas{}, d)
 		perm := r.Elements()
 		for i := 0; i+1 < len(perm); i++ {
 			a, b := perm[i], perm[i+1]
@@ -338,8 +341,8 @@ func TestChanasBothAtLeastAsGood(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		d := randomTiedDataset(rng, 4, 9)
 		p := kendall.NewPairs(d)
-		r1, _ := (&Chanas{}).Aggregate(d)
-		r2, _ := (&Chanas{Both: true}).Aggregate(d)
+		r1, _ := aggregate(&Chanas{}, d)
+		r2, _ := aggregate(&Chanas{Both: true}, d)
 		if p.Score(r2) > p.Score(r1) {
 			t.Fatalf("ChanasBoth (%d) worse than Chanas (%d)", p.Score(r2), p.Score(r1))
 		}
@@ -351,15 +354,18 @@ func TestAilonNearOptimalOnSmall(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		d := randomTiedDataset(rng, 4, 6)
 		p := kendall.NewPairs(d)
-		// Permutation optimum via exhaustive BnB.
-		perm, exact, err := (&BnB{}).AggregateExact(d)
+		// Permutation optimum via exhaustive BnB: the inputs have ties, so
+		// a completed search finds the best permutation without proving
+		// it optimal among bucket orders.
+		res, err := core.Run(context.Background(), &BnB{}, d, core.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !exact {
-			t.Fatal("BnB must be exact at n=6")
+		if res.DeadlineHit {
+			t.Fatal("BnB must complete at n=6")
 		}
-		r, err := (&Ailon{}).Aggregate(d)
+		perm := res.Consensus
+		r, err := aggregate(&Ailon{}, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,7 +383,7 @@ func TestAilonNearOptimalOnSmall(t *testing.T) {
 func TestAilonRejectsTooLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	d := randomTiedDataset(rng, 3, 10)
-	if _, err := (&Ailon{MaxElements: 5}).Aggregate(d); err == nil {
+	if _, err := aggregate(&Ailon{MaxElements: 5}, d); err == nil {
 		t.Error("want TooLargeError")
 	}
 }
@@ -387,11 +393,11 @@ func TestBnBBeamReasonable(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		d := randomTiedDataset(rng, 4, 8)
 		p := kendall.NewPairs(d)
-		exact, _, err := (&BnB{}).AggregateExact(d)
+		exact, _, err := aggregateExact(&BnB{}, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		beam, err := (&BnB{Beam: 16}).Aggregate(d)
+		beam, err := aggregate(&BnBBeam{Width: 16}, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -430,7 +436,7 @@ func TestExactBnBTimeLimitReturnsIncumbent(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	d := randomTiedDataset(rng, 6, 14)
 	e := &ExactBnB{TimeLimit: 1} // 1ns: immediately out of budget
-	r, exact, err := e.AggregateExact(d)
+	r, exact, err := aggregateExact(e, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,12 +444,21 @@ func TestExactBnBTimeLimitReturnsIncumbent(t *testing.T) {
 		t.Log("instance solved before the deadline check (acceptable)")
 	}
 	checkConsensus(t, "ExactBnB", d, r)
+	// TimeLimit is only the default: a run's own limit replaces it.
+	d, _ = paperTiesDataset(t)
+	res, err := core.Run(context.Background(), e, d, core.RunOptions{TimeLimit: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Proved || res.DeadlineHit {
+		t.Errorf("under a one-minute run limit: proved %v, deadline hit %v; want a proof", res.Proved, res.DeadlineHit)
+	}
 }
 
 func TestExactBnBMaxElements(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	d := randomTiedDataset(rng, 3, 10)
-	if _, _, err := (&ExactBnB{MaxElements: 5}).AggregateExact(d); err == nil {
+	if _, _, err := aggregateExact(&ExactBnB{MaxElements: 5}, d); err == nil {
 		t.Error("want TooLargeError")
 	}
 }
@@ -461,7 +476,7 @@ func TestFaginMedianKeyVariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	for trial := 0; trial < 5; trial++ {
 		d := randomTiedDataset(rng, 4, 9)
-		r, err := (&FaginDyn{MedianKey: true}).Aggregate(d)
+		r, err := aggregate(&FaginDyn{MedianKey: true}, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -469,7 +484,7 @@ func TestFaginMedianKeyVariant(t *testing.T) {
 	}
 	// On unanimous inputs the median ordering reproduces the input exactly.
 	d, _ := mustDS(t, "[{A,B},{C}]", "[{A,B},{C}]")
-	r, err := (&FaginDyn{MedianKey: true}).Aggregate(d)
+	r, err := aggregate(&FaginDyn{MedianKey: true}, d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,14 +136,8 @@ func (t *spareTokens) release() { t.n.Add(1) }
 // datasets (n > 30000, Section 7.4).
 type KwikSort struct {
 	// Runs > 1 evaluates several randomized runs and keeps the best
-	// ("KwikSortMin").
+	// ("KwikSortMin"). RunOptions.Restarts overrides it.
 	Runs int
-	// Seed makes pivot choices deterministic. Each run draws from its own
-	// run-indexed source, so results are identical for any worker count.
-	Seed int64
-	// Workers bounds the pool running independent runs in parallel
-	// (<= 1: sequential). The consensus is the same either way.
-	Workers int
 }
 
 // Name implements core.Aggregator.
@@ -161,54 +155,21 @@ func (a *KwikSort) runs() int {
 	return a.Runs
 }
 
-// Aggregate implements core.Aggregator.
-func (a *KwikSort) Aggregate(d *rankings.Dataset) (*rankings.Ranking, error) {
-	return a.AggregateWithPairs(d, nil)
-}
-
-// AggregateWithPairs implements core.PairsAggregator: a nil p is computed
-// from d, a non-nil p must be the pair matrix of d. Runs are independent —
-// each with a run-indexed rng — and execute on the Workers pool; the best
-// score wins, ties broken by run index.
-func (a *KwikSort) AggregateWithPairs(d *rankings.Dataset, p *kendall.Pairs) (*rankings.Ranking, error) {
-	res, err := a.AggregateCtx(context.Background(), d, core.RunOptions{Pairs: p})
-	if err != nil {
-		return nil, err
-	}
-	return res.Consensus, nil
-}
-
-// AggregateCtx implements core.CtxAggregator: the pool stops claiming runs
-// once the context fires (each run is one full divide & conquer pass — the
-// poll interval). On a deadline the best completed run is kept
-// (DeadlineHit); a cancelled context returns the error. The session worker
-// budget (opts.Workers) takes precedence over the struct's Workers field;
-// WithSeed/WithRestarts reach the formerly unreachable Seed/Runs fields.
+// AggregateCtx implements core.Aggregator: runs are independent, each
+// with its own run-indexed randomness derived from opts.Seed, and execute
+// on a pool of opts.Workers (<= 1: sequential); the best score wins, ties
+// broken by run index, so the consensus is the same for any worker count.
+// The pool stops claiming runs once the context fires (each run is one
+// full divide & conquer pass — the poll interval). On a deadline the best
+// completed run is kept (DeadlineHit); a cancelled context returns the
+// error.
 func (a *KwikSort) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts core.RunOptions) (*core.RunResult, error) {
-	if err := core.CheckInput(d); err != nil {
-		return nil, err
-	}
-	p := opts.Pairs
-	if p == nil {
-		p = kendall.NewPairs(d)
-	}
-	ctx, cancel := limitCtx(ctx, opts.TimeLimit)
-	defer cancel()
-	if ctx.Err() == context.Canceled {
-		return nil, ctx.Err()
-	}
-	seed := a.Seed
-	if opts.SeedSet {
-		seed = opts.Seed
-	}
+	p := pairsFor(d, opts)
 	runs := a.runs()
 	if opts.Restarts > 0 {
 		runs = opts.Restarts
 	}
-	workers := a.Workers
-	if opts.Workers > 0 {
-		workers = opts.Workers
-	}
+	workers := opts.Workers
 	// Tokens the run pool leaves idle feed the recursive halves: a lone
 	// run on an 8-worker budget splits its recursion across all 8, while
 	// 16 runs on the same budget keep the parallelism at the run level.
@@ -219,7 +180,7 @@ func (a *KwikSort) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts c
 	}
 	kwikRun := newKwikRun(p, tok)
 	best, completed := runBestCtx(ctx, p, runs, workers, func(run int) *rankings.Ranking {
-		return kwikRun(seed + 0x6b71 + int64(run)*0x9e3779b9)
+		return kwikRun(opts.Seed + 0x6b71 + int64(run)*0x9e3779b9)
 	})
 	deadlineHit, err := pollOutcome(ctx)
 	if err != nil {

@@ -65,7 +65,7 @@ func kwiksortRecursive(p *kendall.Pairs, seed int64, elems []int, tok *spareToke
 	return append(out, kwiksortRecursive(p, rightSeed, right, tok)...)
 }
 
-// kwikOracleBest is KwikSort{Runs: runs, Seed: seed} through the
+// kwikOracleBest is KwikSort{Runs: runs} at seed through the
 // recursive oracle: every run from its run-indexed seed, scored, the
 // lowest score kept with ties to the lowest run index.
 func kwikOracleBest(p *kendall.Pairs, seed int64, runs int) [][]int {
@@ -186,7 +186,7 @@ func TestKwikSortMatchesRecursiveOracle(t *testing.T) {
 				seed := rng.Int63()
 				want := kwikOracleBest(p, seed, runs)
 				for _, workers := range []int{1, 2, 8} {
-					res, err := (&KwikSort{Runs: runs, Seed: seed}).AggregateCtx(ctx, d, core.RunOptions{Pairs: p, Workers: workers})
+					res, err := core.Run(ctx, &KwikSort{Runs: runs}, d, core.RunOptions{Pairs: p, Workers: workers, Seed: seed})
 					if err != nil {
 						t.Fatal(err)
 					}

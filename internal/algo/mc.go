@@ -70,30 +70,13 @@ func (a *MarkovChain) params() (float64, int, float64) {
 	return d, it, tol
 }
 
-// Aggregate implements core.Aggregator.
-func (a *MarkovChain) Aggregate(d *rankings.Dataset) (*rankings.Ranking, error) {
-	res, err := a.AggregateCtx(context.Background(), d, core.RunOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return res.Consensus, nil
-}
-
-// AggregateCtx implements core.CtxAggregator: the O(n²·m) chain
+// AggregateCtx implements core.Aggregator: the O(n²·m) chain
 // construction polls the context per state row and the power iteration per
 // sweep, so cancellation and deadlines propagate mid-iteration. On a
 // deadline the ranking induced by the current stationary estimate is
 // returned (DeadlineHit); before any iteration that estimate is uniform,
 // i.e. everything tied.
-func (a *MarkovChain) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts core.RunOptions) (*core.RunResult, error) {
-	if err := core.CheckInput(d); err != nil {
-		return nil, err
-	}
-	ctx, cancel := limitCtx(ctx, opts.TimeLimit)
-	defer cancel()
-	if ctx.Err() == context.Canceled {
-		return nil, ctx.Err()
-	}
+func (a *MarkovChain) AggregateCtx(ctx context.Context, d *rankings.Dataset, _ core.RunOptions) (*core.RunResult, error) {
 	poll := newSearchPoll(ctx)
 	t := a.transitionMatrix(d, poll)
 	var pi []float64

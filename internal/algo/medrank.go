@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"context"
 	"fmt"
 
 	"rankagg/internal/core"
@@ -30,11 +31,9 @@ func (a *MEDRank) threshold() float64 {
 	return a.H
 }
 
-// Aggregate implements core.Aggregator.
-func (a *MEDRank) Aggregate(d *rankings.Dataset) (*rankings.Ranking, error) {
-	if err := core.CheckInput(d); err != nil {
-		return nil, err
-	}
+// AggregateCtx implements core.Aggregator; the O(n·m) rounds do not poll
+// the context.
+func (a *MEDRank) AggregateCtx(_ context.Context, d *rankings.Dataset, _ core.RunOptions) (*core.RunResult, error) {
 	h := a.threshold()
 	m := float64(d.M())
 	need := h * m
@@ -79,7 +78,7 @@ func (a *MEDRank) Aggregate(d *rankings.Dataset) (*rankings.Ranking, error) {
 		}
 		out.Buckets = append(out.Buckets, bucket)
 	}
-	return out, nil
+	return &core.RunResult{Consensus: out}, nil
 }
 
 func init() {

@@ -22,12 +22,12 @@ func TestBioConsertParallelMatchesSequential(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		d := randomTiedDataset(rng, 3+rng.Intn(8), 4+rng.Intn(12))
 		p := kendall.NewPairs(d)
-		seq, err := (&BioConsert{Workers: 1}).AggregateWithPairs(d, p)
+		seq, err := aggregate(&BioConsert{}, d, core.RunOptions{Pairs: p, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 8} {
-			par, err := (&BioConsert{Workers: workers}).AggregateWithPairs(d, p)
+			par, err := aggregate(&BioConsert{}, d, core.RunOptions{Pairs: p, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,12 +44,12 @@ func TestBioConsertParallelMatchesSequential(t *testing.T) {
 func TestBioConsertDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	d := randomTiedDataset(rng, 9, 14)
-	first, err := (&BioConsert{}).Aggregate(d)
+	first, err := aggregate(&BioConsert{}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 10; run++ {
-		again, err := (&BioConsert{}).Aggregate(d)
+		again, err := aggregate(&BioConsert{}, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,8 +60,8 @@ func TestBioConsertDeterministic(t *testing.T) {
 }
 
 // TestAggregateWithPairsMatchesAggregate checks, for every registered
-// algorithm that consumes a pair matrix, that handing it a prebuilt matrix
-// yields the same consensus as the plain Aggregate path.
+// algorithm, that handing it a prebuilt matrix (RunOptions.Pairs) yields
+// the same consensus as a run that builds its own.
 func TestAggregateWithPairsMatchesAggregate(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	d := randomTiedDataset(rng, 5, 9)
@@ -71,14 +71,11 @@ func TestAggregateWithPairsMatchesAggregate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := a.(core.PairsAggregator); !ok {
-			continue
-		}
-		plain, err := a.Aggregate(d)
+		plain, err := aggregate(a, d)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		shared, err := core.AggregateWithPairs(a, d, p)
+		shared, err := aggregate(a, d, core.RunOptions{Pairs: p})
 		if err != nil {
 			t.Fatalf("%s with pairs: %v", name, err)
 		}
@@ -107,7 +104,7 @@ func TestSharedPairsConcurrentReaders(t *testing.T) {
 	done := make(chan error, len(algos))
 	for _, a := range algos {
 		go func(a core.Aggregator) {
-			_, err := core.AggregateWithPairs(a, d, p)
+			_, err := aggregate(a, d, core.RunOptions{Pairs: p})
 			done <- err
 		}(a)
 	}
@@ -295,15 +292,19 @@ func TestChainedSharesMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(96))
 	for trial := 0; trial < 10; trial++ {
 		d := randomTiedDataset(rng, 4, 10)
-		chained, err := (&Chained{}).Aggregate(d)
+		chained, err := aggregate(&Chained{}, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seed, err := (&Borda{}).Aggregate(d)
+		seed, err := aggregate(&Borda{}, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		manual, err := (&BioConsert{StartFrom: seed}).Aggregate(d)
+		refined, err := (&BioConsert{}).Refine(context.Background(), d, seed, core.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		manual := refined.Consensus
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,13 +327,13 @@ func TestKwikSortRecursionWorkerInvariance(t *testing.T) {
 	p := kendall.NewPairs(d)
 	ctx := context.Background()
 	for _, runs := range []int{1, 3} {
-		a := &KwikSort{Runs: runs, Seed: 77}
-		base, err := a.AggregateCtx(ctx, d, core.RunOptions{Pairs: p, Workers: 1})
+		a := &KwikSort{Runs: runs}
+		base, err := core.Run(ctx, a, d, core.RunOptions{Pairs: p, Workers: 1, Seed: 77})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 16} {
-			got, err := a.AggregateCtx(ctx, d, core.RunOptions{Pairs: p, Workers: workers})
+			got, err := core.Run(ctx, a, d, core.RunOptions{Pairs: p, Workers: workers, Seed: 77})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -361,7 +362,7 @@ func TestRestartPoolAllocs(t *testing.T) {
 		var got *rankings.Ranking
 		allocs := testing.AllocsPerRun(1, func() {
 			var err error
-			if got, err = (&BioConsert{Workers: 1}).AggregateWithPairs(c.d, p); err != nil {
+			if got, err = aggregate(&BioConsert{}, c.d, core.RunOptions{Pairs: p, Workers: 1}); err != nil {
 				t.Fatal(err)
 			}
 		})

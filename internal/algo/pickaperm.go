@@ -1,6 +1,8 @@
 package algo
 
 import (
+	"context"
+
 	"rankagg/internal/core"
 	"rankagg/internal/kendall"
 	"rankagg/internal/rankings"
@@ -16,20 +18,15 @@ type PickAPerm struct{}
 // Name implements core.Aggregator.
 func (PickAPerm) Name() string { return "Pick-a-Perm" }
 
-// Aggregate implements core.Aggregator.
-func (a PickAPerm) Aggregate(d *rankings.Dataset) (*rankings.Ranking, error) {
-	return a.AggregateWithPairs(d, nil)
+// AggregateCtx implements core.Aggregator; m score evaluations need no
+// context polling.
+func (PickAPerm) AggregateCtx(_ context.Context, d *rankings.Dataset, opts core.RunOptions) (*core.RunResult, error) {
+	return &core.RunResult{Consensus: pickAPerm(d, pairsFor(d, opts))}, nil
 }
 
-// AggregateWithPairs implements core.PairsAggregator: a nil p is computed
-// from d, a non-nil p must be the pair matrix of d.
-func (PickAPerm) AggregateWithPairs(d *rankings.Dataset, p *kendall.Pairs) (*rankings.Ranking, error) {
-	if err := core.CheckInput(d); err != nil {
-		return nil, err
-	}
-	if p == nil {
-		p = kendall.NewPairs(d)
-	}
+// pickAPerm returns a copy of the input ranking with the lowest score
+// (the first one on a tie).
+func pickAPerm(d *rankings.Dataset, p *kendall.Pairs) *rankings.Ranking {
 	best := d.Rankings[0]
 	bestScore := p.Score(best)
 	for _, r := range d.Rankings[1:] {
@@ -37,7 +34,7 @@ func (PickAPerm) AggregateWithPairs(d *rankings.Dataset, p *kendall.Pairs) (*ran
 			best, bestScore = r, s
 		}
 	}
-	return best.Clone(), nil
+	return best.Clone()
 }
 
 func init() {

@@ -3,6 +3,10 @@ package algo
 import (
 	"context"
 	"time"
+
+	"rankagg/internal/core"
+	"rankagg/internal/kendall"
+	"rankagg/internal/rankings"
 )
 
 // pollEvery bounds how many hot-loop steps may pass between two context
@@ -54,7 +58,8 @@ func (s *searchPoll) stopNow() bool {
 // Err returns the context error that stopped the search (nil while running).
 func (s *searchPoll) Err() error { return s.err }
 
-// outcome classifies how a search ended, per the CtxAggregator contract:
+// outcome classifies how a search ended, per the core.Aggregator context
+// contract:
 // a deadline expiry keeps the incumbent (DeadlineHit), an explicit
 // cancellation is surfaced as the error.
 func (s *searchPoll) outcome() (deadlineHit bool, err error) {
@@ -79,13 +84,22 @@ func classifyCtxErr(e error) (deadlineHit bool, err error) {
 	}
 }
 
-// limitCtx narrows ctx with a time limit when limit > 0; the returned
-// cancel must be called (deferred) in either case. This is how the legacy
-// per-struct TimeLimit fields become shims over the ctx deadline: both
-// mechanisms meet in one context the hot loops poll.
-func limitCtx(ctx context.Context, limit time.Duration) (context.Context, context.CancelFunc) {
-	if limit <= 0 {
+// defaultLimit narrows ctx with an algorithm's registered default time
+// limit (BnB, ExactAlgorithm, ExactLPB) when the caller set none: a
+// caller's opts.TimeLimit, which core.Run has already folded into ctx,
+// wins. The returned cancel must be called (deferred) in either case.
+func defaultLimit(ctx context.Context, opts core.RunOptions, limit time.Duration) (context.Context, context.CancelFunc) {
+	if opts.TimeLimit > 0 || limit <= 0 {
 		return ctx, func() {}
 	}
 	return context.WithTimeout(ctx, limit)
+}
+
+// pairsFor returns the run's pair matrix: the caller's opts.Pairs, or one
+// built from d for the algorithms that read it.
+func pairsFor(d *rankings.Dataset, opts core.RunOptions) *kendall.Pairs {
+	if opts.Pairs != nil {
+		return opts.Pairs
+	}
+	return kendall.NewPairs(d)
 }

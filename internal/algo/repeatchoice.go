@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"rankagg/internal/core"
-	"rankagg/internal/kendall"
 	"rankagg/internal/rankings"
 )
 
@@ -19,18 +18,11 @@ import (
 type RepeatChoice struct {
 	// Runs > 1 selects the best of several randomized runs; the paper's
 	// "RepeatChoiceMin" uses many runs and keeps the best-scoring result.
+	// RunOptions.Restarts overrides it.
 	Runs int
 	// KeepTies skips the final arbitrary tie-breaking, producing a ranking
 	// with ties.
 	KeepTies bool
-	// Seed makes the randomized ranking order deterministic. 0 uses a fixed
-	// default (the library never draws global randomness). Each run draws
-	// from its own run-indexed source, so results are identical for any
-	// worker count.
-	Seed int64
-	// Workers bounds the pool running independent runs in parallel
-	// (<= 1: sequential). The consensus is the same either way.
-	Workers int
 }
 
 // Name implements core.Aggregator.
@@ -48,54 +40,19 @@ func (a *RepeatChoice) runs() int {
 	return a.Runs
 }
 
-// Aggregate implements core.Aggregator.
-func (a *RepeatChoice) Aggregate(d *rankings.Dataset) (*rankings.Ranking, error) {
-	return a.AggregateWithPairs(d, nil)
-}
-
-// AggregateWithPairs implements core.PairsAggregator: a nil p is computed
-// from d, a non-nil p must be the pair matrix of d. Runs are independent —
-// each with a run-indexed rng — and execute on the Workers pool; the best
-// score wins, ties broken by run index.
-func (a *RepeatChoice) AggregateWithPairs(d *rankings.Dataset, p *kendall.Pairs) (*rankings.Ranking, error) {
-	res, err := a.AggregateCtx(context.Background(), d, core.RunOptions{Pairs: p})
-	if err != nil {
-		return nil, err
-	}
-	return res.Consensus, nil
-}
-
-// AggregateCtx implements core.CtxAggregator (same contract and pooling as
-// KwikSort.AggregateCtx: one refinement pass per poll interval, deadline
-// keeps the best completed run, cancel is an error; opts override the
-// struct's Seed/Runs/Workers).
+// AggregateCtx implements core.Aggregator with KwikSort.AggregateCtx's
+// contract and pooling: each run's visit order is drawn from its own
+// run-indexed source derived from opts.Seed (0 is a fixed default; the
+// library never draws global randomness), one refinement pass per poll
+// interval, a deadline keeps the best completed run, a cancel is an error.
 func (a *RepeatChoice) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts core.RunOptions) (*core.RunResult, error) {
-	if err := core.CheckInput(d); err != nil {
-		return nil, err
-	}
-	p := opts.Pairs
-	if p == nil {
-		p = kendall.NewPairs(d)
-	}
-	ctx, cancel := limitCtx(ctx, opts.TimeLimit)
-	defer cancel()
-	if ctx.Err() == context.Canceled {
-		return nil, ctx.Err()
-	}
-	seed := a.Seed
-	if opts.SeedSet {
-		seed = opts.Seed
-	}
+	p := pairsFor(d, opts)
 	runs := a.runs()
 	if opts.Restarts > 0 {
 		runs = opts.Restarts
 	}
-	workers := a.Workers
-	if opts.Workers > 0 {
-		workers = opts.Workers
-	}
-	best, completed := runBestCtx(ctx, p, runs, workers, func(run int) *rankings.Ranking {
-		rng := rand.New(rand.NewSource(seed + 0x5eed + int64(run)*0x9e3779b9))
+	best, completed := runBestCtx(ctx, p, runs, opts.Workers, func(run int) *rankings.Ranking {
+		rng := rand.New(rand.NewSource(opts.Seed + 0x5eed + int64(run)*0x9e3779b9))
 		return a.oneRun(d, rng)
 	})
 	deadlineHit, err := pollOutcome(ctx)

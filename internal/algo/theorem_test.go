@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rankagg/internal/core"
 	"rankagg/internal/gen"
 	"rankagg/internal/kendall"
 	"rankagg/internal/rankings"
@@ -26,11 +27,11 @@ func TestPermutationInputsHavePermutationOptimum(t *testing.T) {
 		}
 		d := rankings.NewDataset(n, rks...)
 
-		tied, exact1, err := (&ExactBnB{}).AggregateExact(d)
+		tied, exact1, err := aggregateExact(&ExactBnB{}, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		perm, exact2, err := (&BnB{}).AggregateExact(d)
+		perm, exact2, err := aggregateExact(&BnB{}, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,21 +58,35 @@ func TestPermutationInputsHavePermutationOptimum(t *testing.T) {
 
 // TestTiesOptimumCanBeatPermutations: the converse situation — with tied
 // inputs, allowing ties in the output can strictly lower the score, which
-// is the whole point of the generalized distance.
+// is the whole point of the generalized distance. BnB, which searches
+// permutations only, must then not claim a proof, while both ties-aware
+// exact methods prove the tied optimum.
 func TestTiesOptimumCanBeatPermutations(t *testing.T) {
-	// Three rankings tying A and B; any permutation must untie them, paying
-	// 3, while the tied consensus pays 0.
-	d, _ := mustDS(t, "[{A,B},{C}]", "[{A,B},{C}]", "[{A,B},{C}]")
-	tied, _, err := (&ExactBnB{}).AggregateExact(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perm, _, err := (&BnB{}).AggregateExact(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, sp := kendall.Score(tied, d), kendall.Score(perm, d)
-	if st != 0 || sp != 3 {
-		t.Errorf("tied optimum %d (want 0), permutation optimum %d (want 3)", st, sp)
+	for _, c := range []struct {
+		specs         []string
+		tied, permOpt int64
+	}{
+		// Three rankings tying A and B; any permutation must untie them,
+		// paying 3, while the tied consensus pays 0.
+		{[]string{"[{A,B},{C}]", "[{A,B},{C}]", "[{A,B},{C}]"}, 0, 3},
+		{[]string{"[{A,B}]", "[{A,B}]", "[{A},{B}]"}, 1, 2},
+	} {
+		d, _ := mustDS(t, c.specs...)
+		perm, proved, err := aggregateExact(&BnB{}, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sp := kendall.Score(perm, d); sp != c.permOpt || proved {
+			t.Errorf("%v: BnB scored %d (want %d), proved %v (want false)", c.specs, sp, c.permOpt, proved)
+		}
+		for _, e := range []core.ExactAggregator{&ExactBnB{}, &ExactLPB{}} {
+			tied, proved, err := aggregateExact(e, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := kendall.Score(tied, d); st != c.tied || !proved {
+				t.Errorf("%v: %s scored %d (want %d), proved %v (want true)", c.specs, e.Name(), st, c.tied, proved)
+			}
+		}
 	}
 }

@@ -375,8 +375,8 @@ func TestEncodeCancellation(t *testing.T) {
 	}
 	// And through the registry entry point core.Run uses.
 	ctx := &countingCtx{Context: context.Background(), limit: 5}
-	if _, err := (Lehmer{}).AggregateCtx(ctx, d, core.RunOptions{Workers: 2}); err != context.Canceled {
-		t.Errorf("Lehmer.AggregateCtx: err=%v, want context.Canceled", err)
+	if _, err := core.Run(ctx, Lehmer{}, d, core.RunOptions{Workers: 2}); err != context.Canceled {
+		t.Errorf("core.Run(Lehmer): err=%v, want context.Canceled", err)
 	}
 }
 
@@ -389,7 +389,7 @@ func TestAggregateCtxDeadlineCompletes(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 0)
 	defer cancel()
 	<-ctx.Done() // deadline definitely expired
-	rr, err := (Lehmer{}).AggregateCtx(ctx, d, core.RunOptions{Workers: 2})
+	rr, err := core.Run(ctx, Lehmer{}, d, core.RunOptions{Workers: 2})
 	if err != nil {
 		t.Fatalf("expired deadline errored the bounded encode: %v", err)
 	}

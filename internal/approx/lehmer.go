@@ -38,17 +38,7 @@ func (Lehmer) Name() string { return "lehmer" }
 // (core.MatrixFreeAggregator): no pair matrix is ever built or read.
 func (Lehmer) MatrixFree() {}
 
-// Aggregate implements core.Aggregator: the single-worker form of
-// AggregateCtx.
-func (l Lehmer) Aggregate(d *rankings.Dataset) (*rankings.Ranking, error) {
-	rr, err := l.AggregateCtx(context.Background(), d, core.RunOptions{Workers: 1})
-	if err != nil {
-		return nil, err
-	}
-	return rr.Consensus, nil
-}
-
-// AggregateCtx implements core.CtxAggregator: encode passes shard across
+// AggregateCtx implements core.Aggregator: encode passes shard across
 // opts.WorkerBudget() and poll ctx between rankings, so a client
 // disconnect aborts a large-m run promptly with context.Canceled. An
 // expired deadline does NOT truncate the run — the encode is bounded work

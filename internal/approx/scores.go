@@ -51,21 +51,11 @@ func (s ScoreRank) Name() string {
 // (core.MatrixFreeAggregator): no pair matrix is ever built or read.
 func (ScoreRank) MatrixFree() {}
 
-// Aggregate implements core.Aggregator: the single-worker form of
-// AggregateCtx. Per ranking the truncation-aware accumulation costs O(L),
-// not O(n) — absent elements ride in the ScoreState base term — so a
+// AggregateCtx implements core.Aggregator, with the same worker-sharding,
+// worker-invariance, cancellation and deadline semantics as
+// Lehmer.AggregateCtx. Per ranking the truncation-aware accumulation costs
+// O(L), not O(n) — absent elements ride in the ScoreState base term — so a
 // toplists dataset totals in O(Σ L_i + n log n).
-func (s ScoreRank) Aggregate(d *rankings.Dataset) (*rankings.Ranking, error) {
-	rr, err := s.AggregateCtx(context.Background(), d, core.RunOptions{Workers: 1})
-	if err != nil {
-		return nil, err
-	}
-	return rr.Consensus, nil
-}
-
-// AggregateCtx implements core.CtxAggregator, with the same worker-
-// sharding, worker-invariance, cancellation and deadline semantics as
-// Lehmer.AggregateCtx.
 func (s ScoreRank) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts core.RunOptions) (*core.RunResult, error) {
 	st, err := BuildScore(ctx, d, s.Optimistic, opts.WorkerBudget())
 	if err != nil {

@@ -336,7 +336,7 @@ func (st *ScoreState) Remove(r *rankings.Ranking) {
 }
 
 // Consensus orders elements by ascending total and ties exact equals,
-// identically to ScoreRank.Aggregate's batch path.
+// identically to ScoreRank.AggregateCtx's batch path.
 func (st *ScoreState) Consensus() *rankings.Ranking {
 	total := make([]int64, st.n)
 	for e := range total {

@@ -1,9 +1,15 @@
 // Package core defines the Aggregator contract every rank aggregation
-// algorithm implements, and a registry mapping algorithm names (as used in
-// the paper's tables) to constructors.
+// algorithm implements, Run — the one way to run an Aggregator, which
+// validates the input and applies the run's time limit once for every
+// algorithm — and a registry mapping algorithm names (as used in the
+// paper's tables) to constructors. What sets algorithms apart beyond
+// AggregateCtx is declared by marker interfaces: ExactAggregator (proves
+// optimality), MatrixFreeAggregator (never builds a pair matrix) and
+// WarmStartable (consumes RunOptions.WarmStart).
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -22,41 +28,29 @@ type Aggregator interface {
 	// Name returns the algorithm's display name, matching the paper's
 	// terminology (e.g. "BioConsert", "KwikSortMin", "MEDRank(0.5)").
 	Name() string
-	// Aggregate returns a consensus ranking over the dataset's universe.
-	// The dataset must be complete (every ranking over the same elements);
-	// ErrIncomplete is returned otherwise. Aggregate must not mutate d.
-	Aggregate(d *rankings.Dataset) (*rankings.Ranking, error)
+	// AggregateCtx runs the algorithm on d. It is called through Run only,
+	// which has rejected a cancelled ctx, validated d (CheckInput, unless
+	// the algorithm is matrix-free) and folded opts.TimeLimit into ctx, so
+	// a body starts with its own work. AggregateCtx must not mutate d, and
+	// it reads opts.Pairs (the pair matrix of d) instead of building one
+	// when it is set. The context contract:
+	//
+	//   - ctx cancelled (context.Canceled): return (nil, ctx.Err()) promptly.
+	//   - ctx deadline expired: return the best incumbent with DeadlineHit
+	//     and a nil error, matching the paper's time-limit policy of keeping
+	//     the best solution found.
+	//
+	// Long-running searches poll ctx at a bounded interval; fast
+	// single-pass algorithms may ignore it.
+	AggregateCtx(ctx context.Context, d *rankings.Dataset, opts RunOptions) (*RunResult, error)
 }
 
-// ExactAggregator is implemented by exact methods that can prove optimality.
+// ExactAggregator marks exact methods: a run that completes proves its
+// consensus optimal and reports RunResult.Proved.
 type ExactAggregator interface {
 	Aggregator
-	// AggregateExact additionally reports whether the returned consensus was
-	// proved optimal (false when a time or size limit stopped the search and
-	// the best incumbent was returned).
-	AggregateExact(d *rankings.Dataset) (*rankings.Ranking, bool, error)
-}
-
-// PairsAggregator is implemented by algorithms that can reuse a prebuilt
-// pair matrix (kendall.Pairs) instead of recomputing it from the dataset.
-// Building the matrix costs O(m·n²) — the dominant term for most of the
-// paper's algorithms — so callers evaluating several algorithms on one
-// dataset should build it once and share it (see AggregateWithPairs).
-type PairsAggregator interface {
-	Aggregator
-	// AggregateWithPairs is Aggregate with a prebuilt pair matrix. p must be
-	// the pair matrix of d (a nil p is computed from d). The matrix is only
-	// read, never written: one matrix may serve concurrent calls.
-	AggregateWithPairs(d *rankings.Dataset, p *kendall.Pairs) (*rankings.Ranking, error)
-}
-
-// ExactPairsAggregator is an ExactAggregator that can reuse a prebuilt pair
-// matrix.
-type ExactPairsAggregator interface {
-	ExactAggregator
-	// AggregateExactWithPairs is AggregateExact with a prebuilt pair matrix
-	// (same contract as PairsAggregator.AggregateWithPairs).
-	AggregateExactWithPairs(d *rankings.Dataset, p *kendall.Pairs) (*rankings.Ranking, bool, error)
+	// Exact is the marker method; implementations are empty.
+	Exact()
 }
 
 // MatrixFreeAggregator marks the approximation tier (internal/approx):
@@ -64,8 +58,8 @@ type ExactPairsAggregator interface {
 // callers holding one universe too large for the matrix tier can still
 // aggregate. The marker is a promise about resources, not a capability
 // method — matrix-free algorithms also accept incomplete datasets (the
-// unified virtual-last-bucket model) where Aggregate's usual contract
-// demands completeness.
+// unified virtual-last-bucket model), so Run leaves their input checks to
+// them.
 type MatrixFreeAggregator interface {
 	Aggregator
 	// MatrixFree is the marker method; implementations are empty.
@@ -78,28 +72,6 @@ type MatrixFreeAggregator interface {
 func IsMatrixFree(a Aggregator) bool {
 	_, ok := a.(MatrixFreeAggregator)
 	return ok
-}
-
-// AggregateWithPairs runs a on d, handing it the prebuilt pair matrix p when
-// the algorithm can consume one; algorithms without pair-matrix support (or
-// a nil p) fall back to plain Aggregate. p, when non-nil, must be the pair
-// matrix of d.
-func AggregateWithPairs(a Aggregator, d *rankings.Dataset, p *kendall.Pairs) (*rankings.Ranking, error) {
-	if err := checkPairs(p); err != nil {
-		return nil, err
-	}
-	if pa, ok := a.(PairsAggregator); ok && p != nil {
-		return pa.AggregateWithPairs(d, p)
-	}
-	return a.Aggregate(d)
-}
-
-// AggregateExactWithPairs is AggregateWithPairs for exact methods.
-func AggregateExactWithPairs(a ExactAggregator, d *rankings.Dataset, p *kendall.Pairs) (*rankings.Ranking, bool, error) {
-	if pa, ok := a.(ExactPairsAggregator); ok && p != nil {
-		return pa.AggregateExactWithPairs(d, p)
-	}
-	return a.AggregateExact(d)
 }
 
 // ErrIncomplete is returned when a dataset is not normalized: aggregation

@@ -9,26 +9,26 @@ import (
 	"rankagg/internal/rankings"
 )
 
-// RunOptions carries the per-run parameters of a context-aware aggregation.
-// It replaces the scattered per-struct TimeLimit/Workers/Seed fields that
-// were unreachable through the registry: a caller configures one value and
-// every algorithm picks the fields it understands.
+// RunOptions carries the per-run parameters of an aggregation: a caller
+// configures one value and every algorithm picks the fields it
+// understands.
 type RunOptions struct {
 	// Workers is the worker budget for internally parallel work (BioConsert
 	// restarts, KwikSortMin/RepeatChoiceMin independent runs). <= 0 lets the
 	// algorithm choose (typically runtime.NumCPU()).
 	Workers int
-	// Seed replaces an algorithm's randomness seed when SeedSet is true (a
-	// plain zero value must not clobber a meaningful zero seed).
-	Seed    int64
-	SeedSet bool
+	// Seed seeds the randomized algorithms (KwikSort, RepeatChoice,
+	// Anneal, Ailon's roundings); 0 is the default seed.
+	Seed int64
 	// Restarts overrides the number of independent randomized runs or
 	// restarts, for the algorithms that have one (KwikSortMin,
 	// RepeatChoiceMin, Ailon's roundings). 0 keeps the algorithm default.
 	Restarts int
-	// TimeLimit bounds the run; it is merged into the context as a deadline,
-	// so ctx cancellation and TimeLimit share one code path. 0 means no
-	// limit beyond the context's own deadline.
+	// TimeLimit bounds the run; Run merges it into the context as a
+	// deadline, so ctx cancellation and TimeLimit share one code path. 0
+	// means no limit beyond the context's own deadline, except that an
+	// algorithm's registered default limit (BnB, ExactAlgorithm, ExactLPB)
+	// then applies.
 	TimeLimit time.Duration
 	// Pairs is a prebuilt pair matrix of the dataset (nil: the algorithm
 	// builds its own). The matrix is only read, never written.
@@ -108,19 +108,6 @@ type RunResult struct {
 	Stats SearchStats
 }
 
-// CtxAggregator is implemented by algorithms whose search is plumbed for
-// context cancellation: a cancelled or expired ctx stops the search
-// mid-descent within a bounded polling interval. The contract:
-//
-//   - ctx cancelled (context.Canceled): return (nil, ctx.Err()) promptly.
-//   - ctx deadline expired (or RunOptions.TimeLimit elapsed): return the
-//     best incumbent with DeadlineHit = true and a nil error, matching the
-//     paper's time-limit policy of keeping the best solution found.
-type CtxAggregator interface {
-	Aggregator
-	AggregateCtx(ctx context.Context, d *rankings.Dataset, opts RunOptions) (*RunResult, error)
-}
-
 // WarmStartable marks an aggregator whose search consumes
 // RunOptions.WarmStart (a prior consensus as the starting solution).
 // Serving layers use it to decide whether spending a stored warm hint on a
@@ -135,35 +122,30 @@ func CanWarmStart(a Aggregator) bool {
 	return ok
 }
 
-// Run executes an aggregation under a context. Algorithms implementing
-// CtxAggregator get full mid-search cancellation; for the rest Run is an
-// adapter honoring the context at call boundaries only (the run itself is
-// fast for every registered non-ctx algorithm). Exact methods report Proved
-// through the result; every algorithm keeps working through this single
-// entry point.
+// Run executes an aggregation under a context; it is the one way to run
+// an Aggregator, and it does once what every algorithm's run needs first:
+// a cancelled ctx returns context.Canceled (a ctx whose deadline already
+// expired still reaches the algorithm, which returns its incumbent with
+// DeadlineHit), a pair matrix built from an incomplete dataset is
+// rejected, d is validated with CheckInput (matrix-free algorithms check
+// their own, possibly incomplete, input), and opts.TimeLimit becomes a
+// deadline on ctx. opts reaches the algorithm unchanged.
 func Run(ctx context.Context, a Aggregator, d *rankings.Dataset, opts RunOptions) (*RunResult, error) {
-	// Only cancellation aborts at entry: a context whose deadline already
-	// expired still flows into the algorithm, which returns its best
-	// incumbent with DeadlineHit per the CtxAggregator contract.
 	if err := ctx.Err(); err == context.Canceled {
 		return nil, err
 	}
 	if err := checkPairs(opts.Pairs); err != nil {
 		return nil, err
 	}
-	if ca, ok := a.(CtxAggregator); ok {
-		return ca.AggregateCtx(ctx, d, opts)
-	}
-	if ea, ok := a.(ExactAggregator); ok {
-		r, proved, err := AggregateExactWithPairs(ea, d, opts.Pairs)
-		if err != nil {
+	if !IsMatrixFree(a) {
+		if err := CheckInput(d); err != nil {
 			return nil, err
 		}
-		return &RunResult{Consensus: r, Proved: proved}, nil
 	}
-	r, err := AggregateWithPairs(a, d, opts.Pairs)
-	if err != nil {
-		return nil, err
+	if opts.TimeLimit > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, opts.TimeLimit)
+		defer cancel()
 	}
-	return &RunResult{Consensus: r}, nil
+	return a.AggregateCtx(ctx, d, opts)
 }

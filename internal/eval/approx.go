@@ -79,14 +79,14 @@ func CompareApprox(datasets []*rankings.Dataset, opt ApproxOptions) ([]ApproxQua
 			return nil, fmt.Errorf("eval: reference tier needs complete datasets: %w", err)
 		}
 		pairs := kendall.NewPairs(d)
-		refCons, err := core.AggregateWithPairs(ref, d, pairs)
+		refCons, err := aggregate(ref, d, pairs)
 		if err != nil {
 			return nil, fmt.Errorf("eval: reference %s: %w", refName, err)
 		}
 		refScore := pairs.Score(refCons)
 		maxPairs := float64(d.N) * float64(d.N-1) / 2
 		for i, a := range algos {
-			cons, err := a.Aggregate(d)
+			cons, err := aggregate(a, d, nil)
 			if err != nil {
 				return nil, fmt.Errorf("eval: %s: %w", a.Name(), err)
 			}

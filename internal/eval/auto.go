@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -27,24 +28,35 @@ type Auto struct {
 // Name implements core.Aggregator.
 func (a *Auto) Name() string { return "Auto" }
 
-// Aggregate implements core.Aggregator.
-func (a *Auto) Aggregate(d *rankings.Dataset) (*rankings.Ranking, error) {
-	r, _, err := a.AggregateExplained(d)
-	return r, err
+// AggregateCtx implements core.Aggregator: the recommended delegate runs
+// through core.Run under the caller's ctx and opts, so a deadline, a
+// cancel, the worker budget and a prebuilt pair matrix all reach it. Auto
+// reports the delegate's consensus and deadline verdict; it never claims a
+// proof, even when the delegate is exact.
+func (a *Auto) AggregateCtx(ctx context.Context, d *rankings.Dataset, opts core.RunOptions) (*core.RunResult, error) {
+	rr, _, err := a.run(ctx, d, opts)
+	return rr, err
 }
 
-// AggregateExplained additionally returns the recommendation that was
-// applied (algorithm plus rationale).
+// AggregateExplained runs Auto on d and additionally returns the
+// recommendation that was applied (algorithm plus rationale).
 func (a *Auto) AggregateExplained(d *rankings.Dataset) (*rankings.Ranking, Recommendation, error) {
 	if err := core.CheckInput(d); err != nil {
 		return nil, Recommendation{}, err
 	}
-	f := ExtractFeatures(d)
-	recs := Recommend(f, a.NeedOptimal, a.TimeCritical)
-	for _, rec := range recs {
-		r, err := a.run(rec.Algorithm, d)
-		if err == nil {
-			return r, rec, nil
+	rr, rec, err := a.run(context.Background(), d, core.RunOptions{})
+	if err != nil {
+		return nil, rec, err
+	}
+	return rr.Consensus, rec, nil
+}
+
+func (a *Auto) run(ctx context.Context, d *rankings.Dataset, opts core.RunOptions) (*core.RunResult, Recommendation, error) {
+	var err error
+	for _, rec := range Recommend(ExtractFeatures(d), a.NeedOptimal, a.TimeCritical) {
+		var rr *core.RunResult
+		if rr, err = a.delegate(ctx, rec.Algorithm, d, opts); err == nil {
+			return &core.RunResult{Consensus: rr.Consensus, DeadlineHit: rr.DeadlineHit}, rec, nil
 		}
 		// A size cap triggered: fall through to the next suggestion.
 		var tooLarge *algo.TooLargeError
@@ -52,25 +64,24 @@ func (a *Auto) AggregateExplained(d *rankings.Dataset) (*rankings.Ranking, Recom
 			return nil, rec, err
 		}
 	}
-	// Guidance exhausted (should not happen: BioConsert always applies).
-	r, err := (&algo.BioConsert{}).Aggregate(d)
-	return r, Recommendation{Algorithm: "BioConsert", Reason: "fallback"}, err
+	return nil, Recommendation{}, err
 }
 
-func (a *Auto) run(name string, d *rankings.Dataset) (*rankings.Ranking, error) {
+// delegate runs the recommended algorithm; ExactAlgorithm gets ExactBudget
+// as its default limit.
+func (a *Auto) delegate(ctx context.Context, name string, d *rankings.Dataset, opts core.RunOptions) (*core.RunResult, error) {
 	if name == "ExactAlgorithm" {
 		budget := a.ExactBudget
 		if budget == 0 {
 			budget = 30 * time.Second
 		}
-		e := &algo.ExactBnB{Preprocess: true, TimeLimit: budget}
-		return e.Aggregate(d)
+		return core.Run(ctx, &algo.ExactBnB{Preprocess: true, TimeLimit: budget}, d, opts)
 	}
 	ag, err := core.New(name)
 	if err != nil {
 		return nil, fmt.Errorf("eval: guidance produced unknown algorithm %q: %w", name, err)
 	}
-	return ag.Aggregate(d)
+	return core.Run(ctx, ag, d, opts)
 }
 
 func init() {

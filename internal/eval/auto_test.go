@@ -1,9 +1,11 @@
 package eval
 
 import (
+	"context"
 	"testing"
 	"time"
 
+	"rankagg/internal/core"
 	"rankagg/internal/kendall"
 	"rankagg/internal/rankings"
 )
@@ -34,11 +36,11 @@ func TestAutoNeedOptimalUsesExact(t *testing.T) {
 		t.Errorf("recommendation = %s, want ExactAlgorithm at n=7", rec.Algorithm)
 	}
 	// Verify true optimality against the reference solver.
-	ref, exact, err := referenceExact(10, 30*time.Second).AggregateExact(ds)
-	if err != nil || !exact {
-		t.Fatalf("reference failed: %v %v", exact, err)
+	ref, err := core.Run(context.Background(), referenceExact(10, 30*time.Second), ds, core.RunOptions{})
+	if err != nil || !ref.Proved {
+		t.Fatalf("reference failed: %v %v", ref, err)
 	}
-	if kendall.Score(r, ds) != kendall.Score(ref, ds) {
+	if kendall.Score(r, ds) != kendall.Score(ref.Consensus, ds) {
 		t.Errorf("Auto(NeedOptimal) returned non-optimal consensus")
 	}
 }
@@ -61,7 +63,7 @@ func TestAutoRejectsBadInput(t *testing.T) {
 		rankings.MustParse("A>B", u),
 		rankings.MustParse("C", u),
 	)
-	if _, err := (&Auto{}).Aggregate(incomplete); err == nil {
+	if _, err := aggregate(&Auto{}, incomplete, nil); err == nil {
 		t.Error("Auto accepted an incomplete dataset")
 	}
 }

@@ -5,6 +5,7 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"sort"
 	"sync"
@@ -208,8 +209,8 @@ func evaluateDataset(algos []core.Aggregator, d *rankings.Dataset, opt Options) 
 	}
 	c.ref = -1
 	if opt.Exact != nil {
-		if r, exact, err := core.AggregateExactWithPairs(opt.Exact, d, pairs); err == nil && exact {
-			c.ref = score(r)
+		if rr, err := core.Run(context.Background(), opt.Exact, d, core.RunOptions{Pairs: pairs}); err == nil && rr.Proved {
+			c.ref = score(rr.Consensus)
 			c.exact = true
 		}
 	}
@@ -259,7 +260,7 @@ func rankSummaries(s []AlgoSummary) {
 // the (shared) precomputation excluded.
 func runTimed(a core.Aggregator, d *rankings.Dataset, pairs *kendall.Pairs, opt Options) (*rankings.Ranking, time.Duration, error) {
 	start := time.Now()
-	r, err := core.AggregateWithPairs(a, d, pairs)
+	r, err := aggregate(a, d, pairs)
 	first := time.Since(start)
 	if err != nil {
 		return nil, 0, err
@@ -275,11 +276,21 @@ func runTimed(a core.Aggregator, d *rankings.Dataset, pairs *kendall.Pairs, opt 
 	runs := 1
 	for total < minTotal {
 		s := time.Now()
-		if _, err := core.AggregateWithPairs(a, d, pairs); err != nil {
+		if _, err := aggregate(a, d, pairs); err != nil {
 			return nil, 0, err
 		}
 		total += time.Since(s)
 		runs++
 	}
 	return r, total / time.Duration(runs), nil
+}
+
+// aggregate runs a on d with the pair matrix pairs (nil: the algorithm
+// builds its own when it reads one) and returns the consensus.
+func aggregate(a core.Aggregator, d *rankings.Dataset, pairs *kendall.Pairs) (*rankings.Ranking, error) {
+	rr, err := core.Run(context.Background(), a, d, core.RunOptions{Pairs: pairs})
+	if err != nil {
+		return nil, err
+	}
+	return rr.Consensus, nil
 }

@@ -40,7 +40,7 @@ import (
 //
 // A Pairs value built by NewPairs is safe for concurrent readers: one
 // matrix can be shared by any number of algorithms running in parallel
-// (see core.AggregateWithPairs). The Add/Remove delta methods mutate the
+// (see core.RunOptions.Pairs). The Add/Remove delta methods mutate the
 // matrix in place and must never race with readers — mutating callers
 // (rankagg.Session) Clone first so in-flight readers keep an immutable
 // snapshot. Compact returns a NEW value, so the same copy-on-write swap

@@ -2,7 +2,6 @@ package rankings
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -302,11 +301,10 @@ func (d *rankingDecoder) syntaxError(where string) error {
 // be inferred.
 var ErrNoRankings = errors.New("rankings: no rankings in payload")
 
-// DatasetWire is the wire form of a dataset, shared by the dataset files
-// written by MarshalDatasetJSON and by API request documents that embed a
-// dataset (the serving layer's POST /v1/aggregate body). N may be omitted
-// on input: Decode then infers the universe size from the largest element
-// ID (and the name count, when names are given).
+// DatasetWire is the wire form of a dataset in API request documents that
+// embed one (the serving layer's POST /v1/aggregate body). N may be
+// omitted on input: Decode then infers the universe size from the largest
+// element ID (and the name count, when names are given).
 type DatasetWire struct {
 	N        int        `json:"n,omitempty"`
 	Names    []string   `json:"names,omitempty"`
@@ -409,46 +407,4 @@ func BucketNames(r *Ranking, u *Universe) [][]string {
 		out[i] = names
 	}
 	return out
-}
-
-// MarshalDatasetJSON encodes a dataset (and its universe's names, when
-// non-nil) as JSON.
-func MarshalDatasetJSON(d *Dataset, u *Universe) ([]byte, error) {
-	out := DatasetWire{N: d.N, Rankings: d.Rankings}
-	if u != nil {
-		out.Names = u.Names()
-	}
-	return json.MarshalIndent(out, "", "  ")
-}
-
-// UnmarshalDatasetJSON decodes a dataset file; the returned universe is nil
-// when the payload carried no names. Unlike DatasetWire.Decode it accepts
-// an empty ranking list (an empty dataset file is valid), but it requires
-// an explicit universe size for any named payload.
-func UnmarshalDatasetJSON(data []byte) (*Dataset, *Universe, error) {
-	var in DatasetWire
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, nil, err
-	}
-	d := &Dataset{N: in.N, Rankings: in.Rankings}
-	if d.Rankings == nil {
-		d.Rankings = []*Ranking{}
-	}
-	if err := d.Validate(); err != nil {
-		return nil, nil, err
-	}
-	var u *Universe
-	if len(in.Names) > 0 {
-		if len(in.Names) != in.N {
-			return nil, nil, fmt.Errorf("rankings: %d names for %d elements", len(in.Names), in.N)
-		}
-		u = NewUniverse()
-		for _, nm := range in.Names {
-			u.ID(nm)
-		}
-		if u.Size() != in.N {
-			return nil, nil, fmt.Errorf("rankings: duplicate names in JSON dataset")
-		}
-	}
-	return d, u, nil
 }

@@ -77,51 +77,6 @@ func TestEmptyRankingJSON(t *testing.T) {
 	}
 }
 
-func TestDatasetJSONRoundTrip(t *testing.T) {
-	u := NewUniverse()
-	d := NewDataset(3,
-		MustParse("[{A},{B,C}]", u),
-		MustParse("[{C},{A},{B}]", u),
-	)
-	data, err := MarshalDatasetJSON(d, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, bu, err := UnmarshalDatasetJSON(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.N != 3 || back.M() != 2 {
-		t.Fatalf("shape changed: N=%d M=%d", back.N, back.M())
-	}
-	for i := range d.Rankings {
-		if !back.Rankings[i].Equal(d.Rankings[i]) {
-			t.Errorf("ranking %d changed", i)
-		}
-	}
-	if bu == nil || bu.Name(0) != "A" {
-		t.Errorf("names lost: %v", bu)
-	}
-}
-
-func TestDatasetJSONWithoutNames(t *testing.T) {
-	d := NewDataset(2, New([]int{0}, []int{1}))
-	data, err := MarshalDatasetJSON(d, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, u, err := UnmarshalDatasetJSON(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u != nil {
-		t.Error("expected nil universe without names")
-	}
-	if back.N != 2 {
-		t.Errorf("N = %d", back.N)
-	}
-}
-
 func TestDatasetWireDecode(t *testing.T) {
 	var w DatasetWire
 	if err := json.Unmarshal([]byte(`{"rankings":[[[0],[2,1]],[[1],[0,2]]]}`), &w); err != nil {
@@ -207,20 +162,5 @@ func TestBucketNames(t *testing.T) {
 	anon := BucketNames(New([]int{1}), nil)
 	if anon[0][0] != "#1" {
 		t.Errorf("BucketNames without universe = %v", anon)
-	}
-}
-
-func TestDatasetJSONErrors(t *testing.T) {
-	cases := []string{
-		`{"n":1,"names":["a","b"],"rankings":[]}`,  // name count mismatch
-		`{"n":1,"names":["a"],"rankings":[[[5]]]}`, // element outside universe
-		`{"n":2,"names":["a","a"],"rankings":[]}`,  // duplicate names
-		`{"n":2,"rankings":[[[0],[1]],null]}`,      // null ranking
-		`not json`,
-	}
-	for _, c := range cases {
-		if _, _, err := UnmarshalDatasetJSON([]byte(c)); err == nil {
-			t.Errorf("UnmarshalDatasetJSON(%q) succeeded, want error", c)
-		}
 	}
 }

@@ -427,18 +427,20 @@ func TestAlgorithmsEndpoint(t *testing.T) {
 	if len(out.Algorithms) < 20 {
 		t.Errorf("only %d algorithms listed", len(out.Algorithms))
 	}
+	// A beam search never proves optimality, so BnBBeam is not exact
+	// although BnB is.
+	want := map[string]bool{"ExactAlgorithm": true, "BioConsert": false, "BnB": true, "BnBBeam": false}
 	found := map[string]bool{}
 	for _, a := range out.Algorithms {
 		found[a.Name] = true
-		if a.Name == "ExactAlgorithm" && !a.Exact {
-			t.Error("ExactAlgorithm not marked exact")
-		}
-		if a.Name == "BioConsert" && a.Exact {
-			t.Error("BioConsert marked exact")
+		if exact, ok := want[a.Name]; ok && a.Exact != exact {
+			t.Errorf("%s listed with exact %v, want %v", a.Name, a.Exact, exact)
 		}
 	}
-	if !found["BioConsert"] || !found["ExactAlgorithm"] {
-		t.Errorf("expected algorithms missing from %v", found)
+	for name := range want {
+		if !found[name] {
+			t.Errorf("%s missing from %v", name, found)
+		}
 	}
 }
 

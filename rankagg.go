@@ -26,9 +26,8 @@
 // Result carries the generalized Kemeny score, whether optimality was
 // proved (exact methods), whether a deadline cut the search (the incumbent
 // is then returned), and search statistics. Session.Run accepts functional
-// options — WithTimeLimit, WithWorkers, WithSeed, WithRestarts, WithPairs,
-// WithMatrixMode — replacing the per-struct tuning fields of the internal
-// algorithm types.
+// options: WithTimeLimit, WithWorkers, WithSeed, WithRestarts, WithPairs,
+// WithMatrixMode.
 //
 // Aggregate and AggregateWithPairs remain as thin one-shot conveniences
 // over the same machinery for callers that need neither cancellation nor
@@ -74,6 +73,7 @@
 package rankagg
 
 import (
+	"context"
 	"io"
 
 	"rankagg/internal/approx"
@@ -141,21 +141,16 @@ func WriteDataset(w io.Writer, d *Dataset, u *Universe) error {
 
 // Aggregate runs the named algorithm (see package doc for names) on d.
 //
-// It is a thin convenience over Session.Run for one-shot aggregations: no
-// cancellation, no rich Result, and the pair matrix is built (and dropped)
-// per call. When running several algorithms on one dataset, or when a
-// deadline/score/optimality report is needed, use NewSession + Run.
-func Aggregate(name string, d *Dataset) (*Ranking, error) {
-	a, err := core.New(name)
-	if err != nil {
-		return nil, err
-	}
-	return a.Aggregate(d)
-}
+// It is a thin convenience over the run Session.Run makes, for one-shot
+// aggregations: no cancellation, no rich Result, and the pair matrix is
+// built (and dropped) per call. When running several algorithms on one
+// dataset, or when a deadline/score/optimality report is needed, use
+// NewSession + Run.
+func Aggregate(name string, d *Dataset) (*Ranking, error) { return AggregateWithPairs(name, d, nil) }
 
 // AggregateWithPairs runs the named algorithm on d, reusing a prebuilt pair
-// matrix when the algorithm supports it (all the pairwise methods do);
-// algorithms that don't consume a pair matrix fall back to Aggregate.
+// matrix when the algorithm reads one (all the pairwise methods do);
+// the others ignore it.
 //
 // Building the matrix costs O(m·n²) — usually the dominant term — so when
 // several algorithms run on the SAME dataset, build it once with NewPairs
@@ -165,15 +160,20 @@ func Aggregate(name string, d *Dataset) (*Ranking, error) {
 // matrix built from an incomplete dataset cannot be, and is rejected with
 // the same error as an incomplete d.
 //
-// It is a thin convenience over Session.Run, which does the build-once
-// bookkeeping automatically (the session caches the matrix after the first
-// run); prefer a Session when the matrix threading is not already in place.
+// It is a thin convenience over the run Session.Run makes, and Session
+// does the build-once bookkeeping automatically (it caches the matrix
+// after the first run); prefer a Session when the matrix threading is not
+// already in place.
 func AggregateWithPairs(name string, d *Dataset, p *Pairs) (*Ranking, error) {
 	a, err := core.New(name)
 	if err != nil {
 		return nil, err
 	}
-	return core.AggregateWithPairs(a, d, p)
+	rr, err := core.Run(context.Background(), a, d, core.RunOptions{Pairs: p})
+	if err != nil {
+		return nil, err
+	}
+	return rr.Consensus, nil
 }
 
 // NewAggregator constructs a registered algorithm by its paper name.

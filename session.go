@@ -83,13 +83,11 @@ type runConfig struct {
 	warmStart  *Ranking
 }
 
-// runSpecState mirrors RunSpec with an explicit set-bit for the seed (a
-// RunSpec uses pointer-nil for the same distinction; options avoid the
-// allocation).
+// runSpecState mirrors RunSpec with the seed by value (a normalized
+// RunSpec's nil seed is the default seed 0).
 type runSpecState struct {
 	algorithm string
 	seed      int64
-	seedSet   bool
 	restarts  int
 	timeoutMS int64
 	workers   int
@@ -101,7 +99,7 @@ type runSpecState struct {
 // run), execution fields only where the spec sets them.
 func (st *runSpecState) merge(sp RunSpec) {
 	st.algorithm = sp.Algorithm
-	st.seed, st.seedSet = *sp.Seed, true
+	st.seed = *sp.Seed
 	st.restarts = sp.Restarts
 	if sp.TimeoutMS > 0 {
 		st.timeoutMS = sp.TimeoutMS
@@ -117,17 +115,17 @@ type Option func(*runConfig)
 
 // WithWorkers sets the worker budget for internally parallel work:
 // BioConsert's restart pool, KwikSortMin/RepeatChoiceMin independent runs.
-// As a session option it is the session-wide budget every run inherits —
-// replacing the scattered per-struct Workers fields and per-call
-// runtime.NumCPU() decisions; as a run option it overrides the budget for
-// that run. n <= 0 means "let the algorithm choose" (typically all CPUs).
+// As a session option it is the session-wide budget every run inherits;
+// as a run option it overrides the budget for that run. n <= 0 means "let
+// the algorithm choose" (all CPUs for BioConsert and ExactAlgorithm's
+// priming, one for KwikSortMin and RepeatChoiceMin).
 func WithWorkers(n int) Option { return func(c *runConfig) { c.spec.workers = n } }
 
 // WithSeed fixes the randomness seed of randomized algorithms (KwikSort's
 // pivots, RepeatChoice's visit order, annealing's walk). Runs with the same
 // seed and options are deterministic.
 func WithSeed(seed int64) Option {
-	return func(c *runConfig) { c.spec.seed = seed; c.spec.seedSet = true }
+	return func(c *runConfig) { c.spec.seed = seed }
 }
 
 // WithRestarts overrides the number of independent randomized runs for the
@@ -637,7 +635,6 @@ func (cfg *runConfig) runOptions() core.RunOptions {
 	return core.RunOptions{
 		Workers:   cfg.spec.workers,
 		Seed:      cfg.spec.seed,
-		SeedSet:   cfg.spec.seedSet,
 		Restarts:  cfg.spec.restarts,
 		TimeLimit: tl,
 		WarmStart: cfg.warmStart,
